@@ -4,7 +4,7 @@ One experiment per process: parse a law/experiment config, run the
 requested check suite, and emit a machine-readable JSON report carrying
 the config echo, seed, budgets, library versions, and wall time.  Exit
 codes: 0 on pass, 2 on a mathematical check failure, 1 on usage or
-config errors.  STEINLAB_THREADS caps internal parallelism.
+config errors.  Every computation runs on the calling thread.
 
 The config document is a flat key=value table with one nested table per
 law, INI-style::

@@ -14,21 +14,25 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from ._errors import DomainError, RegimeError, UnsupportedFamilyError
 from .jumps import (
+    _along_directions,
+    _cutoff,
+    _increment,
+    _is_constant,
+    _radial_rule,
     _reach,
     _shifted_eval,
-    big_rule,
     density_nu,
     density_tilde,
+    jump_ball_chunk,
     jump_square_chunk,
     quad_sphere_for,
-    small_rule,
 )
 from .levy import IDLaw
 from .numerics import TestFunction, gaussian_bump, grad_fd, surface_area
@@ -36,7 +40,6 @@ from .sampling import MCEstimate, mc_expectation, sample_stable_law
 from .stein import _chunked_mean, generator_apply, generator_tilt
 
 __all__ = [
-    "TruncatedCoordinate",
     "RatioReport",
     "truncated_coordinate",
     "gamma1",
@@ -63,9 +66,6 @@ def truncated_coordinate(d: int, R: float, j: int) -> TestFunction:
     return gaussian_bump(d, a=1.0 / R**2, coord=j, name=f"trunc-coord(R={R:g}, j={j})")
 
 
-TruncatedCoordinate = truncated_coordinate  # the type is the test function it builds
-
-
 @dataclass(frozen=True)
 class RatioReport:
     """One point of the variance/energy ratio curve."""
@@ -88,27 +88,20 @@ class RatioReport:
 
 def _gamma1_integral_at(f, g, X, sphere, dens, n_small=24, per_octave=12):
     """(1/2) int (f(x+u)-f(x))(g(x+u)-g(x)) dnu~ at each row of X."""
-    from .jumps import _is_constant
-
     if _is_constant(f) or _is_constant(g):
         return np.zeros(X.shape[0])
-    rs, ws = small_rule(2.0 - dens.p, n_small)
     fz = np.asarray(f.evaluate(X), dtype=float)
     gz = np.asarray(g.evaluate(X), dtype=float)
-    R_want = float(np.max(np.linalg.norm(X, axis=1))) + max(_reach(f), _reach(g)) + 1.0
-    rb, wb, R = big_rule(max(R_want, 64.0), per_octave)
-    rho_b = dens.rho(rb)
-    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
-    out = np.zeros(X.shape[0])
-    for x_dir, w_dir in zip(sphere.atoms, sphere.weights):
-        df_s = (_shifted_eval(f, X, x_dir, rs) - fz[:, None]) / rs[None, :]
-        dg_s = (_shifted_eval(g, X, x_dir, rs) - gz[:, None]) / rs[None, :]
-        out += w_dir * dens.amp * ((df_s * dg_s) * extra_s) @ ws
-        df_b = _shifted_eval(f, X, x_dir, rb) - fz[:, None]
-        dg_b = _shifted_eval(g, X, x_dir, rb) - gz[:, None]
-        out += w_dir * ((df_b * dg_b) * rho_b) @ wb
-    out += fz * gz * dens.tail_mass(R) * sphere.total_mass
-    return 0.5 * out
+    R_want = _cutoff(X, max(_reach(f), _reach(g)), dens)
+    r, c, _, tail = _radial_rule(dens, R_want, 2, 0, n_small, per_octave)
+
+    def increment(x):
+        inc = _increment(f, X, x, r, fz)
+        inc *= _increment(g, X, x, r, gz)
+        return inc
+
+    radial = _along_directions(sphere, c, increment)
+    return 0.5 * (sphere.weights @ radial + fz * gz * tail * sphere.total_mass)
 
 
 def gamma1(law: IDLaw, f: TestFunction, g: TestFunction, x, route: str = "integral") -> float:
@@ -116,8 +109,6 @@ def gamma1(law: IDLaw, f: TestFunction, g: TestFunction, x, route: str = "integr
     integral against the derived measure or through the generator algebra
     (1/2)(A(fg) - f A g - g A f)."""
     x = np.asarray(x, dtype=float)
-    from .jumps import _is_constant
-
     if _is_constant(f) or _is_constant(g):
         return 0.0  # increments of a constant vanish identically
     dens = density_tilde(law.levy.kf)
@@ -125,19 +116,12 @@ def gamma1(law: IDLaw, f: TestFunction, g: TestFunction, x, route: str = "integr
         sphere = quad_sphere_for(law, 48)
         return float(_gamma1_integral_at(f, g, x[None, :], sphere, dens)[0])
     if route == "generator":
-        fg = f.product(g)
-        fg = _with_reach(fg, min(_reach(f), _reach(g)))
+        fg = replace(f.product(g), reach=min(_reach(f), _reach(g)))
         afg = generator_apply(law, fg, x)
         af = generator_apply(law, f, x)
         ag = generator_apply(law, g, x)
         return 0.5 * (afg - float(f.evaluate(x)) * ag - float(g.evaluate(x)) * af)
     raise DomainError("route must be 'integral' or 'generator'")
-
-
-def _with_reach(tf: TestFunction, reach: float) -> TestFunction:
-    from dataclasses import replace
-
-    return replace(tf, reach=reach)
 
 
 def _quadrature_backed(name, ev_vec, reach, d, fd_scale=1.0):
@@ -166,8 +150,6 @@ def gamma2(law: IDLaw, f: TestFunction, x, route: str = "integral") -> float:
     symbol.  'recursion': (1/2)(A Gamma(f,f) - 2 Gamma(A f, f)) with the
     inner objects evaluated by quadrature."""
     x = np.asarray(x, dtype=float)
-    from .jumps import _is_constant
-
     if _is_constant(f):
         return 0.0
     kf = law.levy.kf
@@ -204,8 +186,6 @@ def gamma2(law: IDLaw, f: TestFunction, x, route: str = "integral") -> float:
 
 
 def _generator_apply_vec(law, f, pts, sphere, dens):
-    from .jumps import jump_ball_chunk
-
     bt = generator_tilt(law)
     g = np.asarray(f.gradient(pts), dtype=float)
     drift = ((bt[None, :] - pts) * g).sum(axis=1)
@@ -221,37 +201,22 @@ def _require_isotropic_stable(law: IDLaw) -> float:
 
 def _second_difference_double(law, f, X, n_small=12, per_octave=8):
     """(1/4) iint (f(x+u+v) - f(x+u) - f(x+v) + f(x))^2 dnu~ dnu~ per row."""
-    from .jumps import _is_constant
-
     if _is_constant(f):
         return np.zeros(X.shape[0])
-    kf = law.levy.kf
-    dens = density_tilde(kf)
+    dens = density_tilde(law.levy.kf)
     sphere = quad_sphere_for(law, 24 if law.dim > 1 else 32)
-    rs, ws = small_rule(2.0 - dens.p, n_small)
-    R_want = float(np.max(np.linalg.norm(X, axis=1))) + _reach(f) + 1.0
-    rb, wb, R = big_rule(max(R_want, 64.0), per_octave)
-    # combined radial rule: node r_i with coefficient c_i so that
-    # sum_i c_i phi(r_i) ~ int phi(r) rho(r) dr for phi vanishing like r^2
-    extra_s = dens.extra(rs) if dens.extra is not None else np.ones_like(rs)
-    c_small = dens.amp * ws * extra_s / rs**2
-    c_big = dens.rho(rb) * wb
-    r_all = np.concatenate([rs, rb])
-    c_all = np.concatenate([c_small, c_big])
-    tail = dens.tail_mass(R) * sphere.total_mass
+    # sum_i c_all[i] phi(r_all[i]) ~ int phi(r) rho(r) dr for phi vanishing like r^2
+    r_all, c_all, _, tail = _radial_rule(dens, _cutoff(X, _reach(f), dens), 2, 0, n_small, per_octave)
+    tail *= sphere.total_mass
 
     m = X.shape[0]
     fz = np.asarray(f.evaluate(X), dtype=float)
-    n_dir = sphere.atoms.shape[0]
     K = r_all.size
-    # precompute f(x + r w) for every (direction, radius)
-    shifted = np.empty((n_dir, m, K))
-    for a, x_dir in enumerate(sphere.atoms):
-        shifted[a] = _shifted_eval(f, X, x_dir, r_all)
+    # f(x + r w) for every (direction, radius)
+    shifted = np.stack([_shifted_eval(f, X, x_dir, r_all) for x_dir in sphere.atoms])
+    # int (f(x+u) - f(x))^2 dnu~, reused for the tail
+    gamma_like = sphere.weights @ (((shifted - fz[None, :, None]) ** 2) @ c_all)
     out = np.zeros(m)
-    gamma_like = np.zeros(m)  # int (f(x+u) - f(x))^2 dnu~, reused for the tail
-    for a, (x_dir, w_a) in enumerate(zip(sphere.atoms, sphere.weights)):
-        gamma_like += w_a * ((shifted[a] - fz[:, None]) ** 2) @ c_all
     for a, (x_a, w_a) in enumerate(zip(sphere.atoms, sphere.weights)):
         for b, (x_b, w_b) in enumerate(zip(sphere.atoms, sphere.weights)):
             # f(x + r_i x_a + r_l x_b) on the combined radial grid

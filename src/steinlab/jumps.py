@@ -12,9 +12,11 @@ spectrally accurate on (0, 1]; the big-jump side uses log-spaced
 Gauss-Legendre panels up to a cutoff past the test function's reach,
 plus the closed-form tail that remains when the shifted term is gone.
 
-Evaluation is vectorized over (samples x directions x radial nodes) in
-fixed chunks, so results are deterministic however the chunks are
-scheduled.
+One rule, ``_radial_rule``, builds those nodes, coefficients and tail for
+every jump integral in the package: the engines here, the carré du
+champs and its iterate, and the Stein solver's verification.  A caller
+supplies only its increment along one direction, evaluated once on the
+concatenated small- and big-jump nodes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 
 from ._errors import DomainError, UnsupportedFamilyError
 from .numerics import SphericalGrid, TestFunction, gauss_jacobi_unit, uniform_sphere
+from .sampling import CHUNK  # noqa: F401  (the chunk size the engines are sized for)
 
 __all__ = ["RadialDensity", "density_nu", "density_tilde", "quad_sphere_for"]
-
-CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,7 @@ class RadialDensity:
 
     def tail_mass(self, R: float) -> float:
         """int_R^inf rho dr (0 beyond the decay horizon)."""
-        if self.extra is None:
-            return self.amp * R ** (1.0 - self.p) / (self.p - 1.0)
-        if R >= self.horizon:
-            return 0.0
-        u = np.linspace(math.log(R), math.log(self.horizon), 801)
-        r = np.exp(u)
-        return float(np.trapezoid(self.rho(r) * r, u))
+        return _tail_moment(self, R, 0)
 
 
 def density_nu(kf) -> RadialDensity:
@@ -101,8 +96,6 @@ def quad_sphere_for(law, n_dirs: int = 32) -> SphericalGrid:
     if sphere.atoms.shape[0] <= max(8, n_dirs // 4):
         return sphere
     return uniform_sphere(law.dim, n_dirs)
-
-
 
 
 def _norm_buckets(Z, fractions=(0.6, 0.85, 0.97, 1.0)):
@@ -159,10 +152,54 @@ def small_rule(beta: float, n: int = 16):
     return gauss_jacobi_unit(n, beta)
 
 
+def _tail_moment(dens: RadialDensity, R: float, power: int) -> float:
+    """int_R^inf r^power rho(r) dr (0 beyond the decay horizon)."""
+    if dens.extra is None:
+        if dens.p <= power + 1.0:
+            raise DomainError("the big-jump tail has no moment of this order")
+        return dens.amp * R ** (power + 1.0 - dens.p) / (dens.p - power - 1.0)
+    if R >= dens.horizon:
+        return 0.0
+    u = np.linspace(math.log(R), math.log(dens.horizon), 801)
+    r = np.exp(u)
+    return float(np.trapezoid(r**power * dens.rho(r) * r, u))
+
+
+def _radial_rule(dens: RadialDensity, R_want: float, vanish: int, power: int, n_small: int, per_octave: int):
+    """Nodes r, coefficients c, cutoff R and tail T of one jump integral.
+
+    sum_i c_i phi(r_i) approximates int_0^R phi(r) r^power rho(r) dr for
+    every phi = O(r^vanish) at the origin, and T = int_R^inf r^power rho dr.
+    The nodes on (0, 1] come first: a Gauss-Jacobi rule carrying the
+    singular weight r^(vanish + power - p), with amp * extra(r) / r^vanish
+    folded into c.  Beyond 1 half-octave Gauss-Legendre panels run to R,
+    the half-octave at or above R_want, with r^power rho(r) folded into c."""
+    beta = vanish + power - dens.p
+    if beta <= -1.0:
+        raise DomainError("jump integral diverges at the origin for this density")
+    rs, ws = small_rule(beta, n_small)
+    rb, wb, R = big_rule(R_want, per_octave)
+    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
+    c_small = dens.amp * ws * extra_s / rs**vanish
+    c_big = rb**power * dens.rho(rb) * wb
+    return np.concatenate([rs, rb]), np.concatenate([c_small, c_big]), R, _tail_moment(dens, R, power)
+
+
+def _cutoff(Z, reach: float, dens: RadialDensity) -> float:
+    """Big-jump cutoff for a set of samples: past the farthest sample plus
+    the test function's reach, at least 64, at most the decay horizon."""
+    return min(max(float(np.max(np.linalg.norm(Z, axis=1))) + reach + 1.0, 64.0), dens.horizon)
+
+
+def _along_directions(sphere: SphericalGrid, c, increment):
+    """(directions, samples) array whose row j is increment(x_j) @ c: the
+    radial integral of the (samples, nodes) increment along atom x_j."""
+    return np.stack([increment(x) @ c for x in sphere.atoms])
+
+
 # ---------------------------------------------------------------------------
 # chunked per-sample engines
 # ---------------------------------------------------------------------------
-
 
 
 def _is_constant(f: TestFunction) -> bool:
@@ -170,8 +207,8 @@ def _is_constant(f: TestFunction) -> bool:
 
 
 def _reach(f: TestFunction) -> float:
-    if f.m_bounds is not None and f.m_bounds[1] == 0.0 and f.m_bounds[2] == 0.0:
-        return 1.0  # constant: every increment vanishes
+    if _is_constant(f):
+        return 1.0  # every increment vanishes
     if f.reach is not None:
         return f.reach
     if f.support_radius != math.inf:
@@ -196,199 +233,100 @@ def _shifted_grad_dot(f, Z, x_dir, r):
     return (g @ x_dir).reshape(m, K)
 
 
-def _jump_raw_chunk_impl(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=12):
-    """int (f(z + u) - f(z)) nu(du) per sample (raw increment; needs the
-    density integrable at 0 against r, i.e. p < 2)."""
-    if dens.p >= 2.0:
-        raise DomainError("raw jump integral diverges at the origin for this density")
-    rs, ws = small_rule(1.0 - dens.p, n_small)  # weight folds r from the increment
+def _increment(f, Z, x_dir, r, fz):
+    """f(Z[i] + r[k] x_dir) - f(Z[i]) as an (m, K) array (built in place:
+    arrays this size cost a fresh allocation per temporary)."""
+    inc = _shifted_eval(f, Z, x_dir, r)
+    inc -= fz[:, None]
+    return inc
+
+
+def _jump_raw(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
-    R_want = float(np.max(np.linalg.norm(Z, axis=1))) + _reach(f) + 1.0
-    R_want = min(max(R_want, 64.0), dens.horizon) if dens.horizon != math.inf else max(R_want, 64.0)
-    rb, wb, R = big_rule(R_want, per_octave)
-    out = np.zeros(Z.shape[0])
-    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
-    rho_b = dens.rho(rb)
-    for x, w in zip(sphere.atoms, sphere.weights):
-        vals_s = (_shifted_eval(f, Z, x, rs) - fz[:, None]) / rs[None, :]
-        out += w * dens.amp * (vals_s * extra_s) @ ws
-        vals_b = _shifted_eval(f, Z, x, rb) - fz[:, None]
-        out += w * (vals_b * rho_b) @ wb
-    out += -fz * dens.tail_mass(R) * sphere.total_mass
-    return out
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 0, n_small, per_octave)
+    radial = _along_directions(sphere, c, lambda x: _increment(f, Z, x, r, fz))
+    return sphere.weights @ radial - fz * tail * sphere.total_mass
 
 
-def _jump_ball_chunk_impl(f, Z, sphere, dens: RadialDensity, n_small=24, per_octave=12):
-    """int (f(z+u) - f(z) - <grad f(z), u> 1_{|u|<=1}) nu(du) per sample."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    beta = 2.0 - dens.p
-    if beta <= -1.0:
-        raise DomainError("compensated jump integral diverges at the origin")
-    rs, ws = small_rule(beta, n_small)
+def _jump_ball(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
     gz = np.asarray(f.gradient(Z), dtype=float)
-    R_want = float(np.max(np.linalg.norm(Z, axis=1))) + _reach(f) + 1.0
-    R_want = min(max(R_want, 64.0), dens.horizon) if dens.horizon != math.inf else max(R_want, 64.0)
-    rb, wb, R = big_rule(R_want, per_octave)
-    out = np.zeros(Z.shape[0])
-    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
-    rho_b = dens.rho(rb)
-    for x, w in zip(sphere.atoms, sphere.weights):
-        gdot = gz @ x
-        bracket = (
-            _shifted_eval(f, Z, x, rs) - fz[:, None] - rs[None, :] * gdot[:, None]
-        ) / (rs[None, :] ** 2)
-        out += w * dens.amp * (bracket * extra_s) @ ws
-        vals_b = _shifted_eval(f, Z, x, rb) - fz[:, None]
-        out += w * (vals_b * rho_b) @ wb
-    out += -fz * dens.tail_mass(R) * sphere.total_mass
-    return out
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 2, 0, n_small, per_octave)
+    n_ball = np.count_nonzero(r <= 1.0)
+
+    def increment(x):
+        inc = _increment(f, Z, x, r, fz)
+        inc[:, :n_ball] -= np.outer(gz @ x, r[:n_ball])  # compensator on jumps in the unit ball
+        return inc
+
+    radial = _along_directions(sphere, c, increment)
+    return sphere.weights @ radial - fz * tail * sphere.total_mass
 
 
-def _jump_vector_chunk_impl(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=12):
-    """int (f(z+u) - f(z)) u nu(du) per sample, as an (m, d) array.
-
-    The radial factor of u cancels one power of the density, so this
-    needs p < 3 near the origin and p > 2 in the tail (finite first
-    moment), i.e. the stable range alpha in (1, 2)."""
-    if _is_constant(f):
-        return np.zeros(Z.shape)
-    beta = 2.0 - dens.p
-    if beta <= -1.0:
-        raise DomainError("vector jump integral diverges at the origin")
-    if dens.extra is None and dens.p <= 2.0:
-        raise DomainError("vector jump integral needs big jumps with a first moment")
-    rs, ws = small_rule(beta, n_small)
+def _jump_vector(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
-    R_want = float(np.max(np.linalg.norm(Z, axis=1))) + _reach(f) + 1.0
-    R_want = min(max(R_want, 64.0), dens.horizon) if dens.horizon != math.inf else max(R_want, 64.0)
-    rb, wb, R = big_rule(R_want, per_octave)
-    out = np.zeros(Z.shape)
-    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
-    rho_b = dens.rho(rb)
-    if dens.extra is None:
-        tail_first = dens.amp * R ** (2.0 - dens.p) / (dens.p - 2.0)
-    else:
-        tail_first = 0.0 if R >= dens.horizon else _numeric_tail(dens, R, 1)
-    for x, w in zip(sphere.atoms, sphere.weights):
-        vals_s = (_shifted_eval(f, Z, x, rs) - fz[:, None]) / rs[None, :]
-        radial = dens.amp * (vals_s * extra_s) @ ws
-        vals_b = _shifted_eval(f, Z, x, rb) - fz[:, None]
-        radial = radial + (vals_b * (rb * rho_b)) @ wb
-        radial = radial - fz * tail_first
-        out += (w * radial)[:, None] * x[None, :]
-    return out
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 1, n_small, per_octave)
+    radial = _along_directions(sphere, c, lambda x: _increment(f, Z, x, r, fz))
+    weighted = sphere.weights[:, None] * sphere.atoms
+    return radial.T @ weighted - np.outer(fz * tail, weighted.sum(axis=0))
 
 
-def _jump_grad_diff_chunk_impl(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=12):
-    """int <grad f(z+u) - grad f(z), u> nu(du) per sample (scalar)."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    beta = 2.0 - dens.p
-    if beta <= -1.0:
-        raise DomainError("gradient-difference integral diverges at the origin")
-    rs, ws = small_rule(beta, n_small)
+def _jump_grad_diff(f, Z, sphere, dens, n_small, per_octave):
     gz = np.asarray(f.gradient(Z), dtype=float)
-    R_want = float(np.max(np.linalg.norm(Z, axis=1))) + _reach(f) + 1.0
-    R_want = min(max(R_want, 64.0), dens.horizon) if dens.horizon != math.inf else max(R_want, 64.0)
-    rb, wb, R = big_rule(R_want, per_octave)
-    out = np.zeros(Z.shape[0])
-    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
-    rho_b = dens.rho(rb)
-    if dens.extra is None:
-        if dens.p <= 2.0:
-            raise DomainError("gradient-difference tail needs a first moment")
-        tail_first = dens.amp * R ** (2.0 - dens.p) / (dens.p - 2.0)
-    else:
-        tail_first = 0.0 if R >= dens.horizon else _numeric_tail(dens, R, 1)
-    for x, w in zip(sphere.atoms, sphere.weights):
-        gdot = gz @ x
-        vals_s = (_shifted_grad_dot(f, Z, x, rs) - gdot[:, None]) / rs[None, :]
-        out += w * dens.amp * (vals_s * extra_s) @ ws
-        vals_b = _shifted_grad_dot(f, Z, x, rb) - gdot[:, None]
-        out += w * (vals_b * (rb * rho_b)) @ wb
-        out += -w * gdot * tail_first
-    return out
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 1, n_small, per_octave)
+
+    def increment(x):
+        inc = _shifted_grad_dot(f, Z, x, r)
+        inc -= (gz @ x)[:, None]
+        return inc
+
+    radial = _along_directions(sphere, c, increment)
+    return sphere.weights @ radial - tail * (gz @ (sphere.weights @ sphere.atoms))
 
 
-def _jump_square_chunk_impl(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=12):
-    """int (f(z+u) - f(z))^2 nu(du) per sample."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    beta = 2.0 - dens.p
-    if beta <= -1.0:
-        raise DomainError("squared-increment integral diverges at the origin")
-    rs, ws = small_rule(beta, n_small)
+def _jump_square(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
-    R_want = float(np.max(np.linalg.norm(Z, axis=1))) + _reach(f) + 1.0
-    R_want = min(max(R_want, 64.0), dens.horizon) if dens.horizon != math.inf else max(R_want, 64.0)
-    rb, wb, R = big_rule(R_want, per_octave)
-    out = np.zeros(Z.shape[0])
-    extra_s = dens.extra(rs) if dens.extra is not None else 1.0
-    rho_b = dens.rho(rb)
-    for x, w in zip(sphere.atoms, sphere.weights):
-        diff_s = (_shifted_eval(f, Z, x, rs) - fz[:, None]) / rs[None, :]
-        out += w * dens.amp * ((diff_s**2) * extra_s) @ ws
-        diff_b = _shifted_eval(f, Z, x, rb) - fz[:, None]
-        out += w * ((diff_b**2) * rho_b) @ wb
-    out += (fz**2) * dens.tail_mass(R) * sphere.total_mass
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 2, 0, n_small, per_octave)
+    radial = _along_directions(sphere, c, lambda x: np.square(_increment(f, Z, x, r, fz)))
+    return sphere.weights @ radial + fz**2 * tail * sphere.total_mass
+
+
+def _bucketed(engine, f, Z, sphere, dens, n_small, per_octave, shape):
+    """Run a per-sample engine on norm buckets of the chunk; zero for a
+    constant f, whose increments all vanish."""
+    out = np.zeros(shape)
+    if _is_constant(f):
+        return out
+    for idx in _norm_buckets(Z):
+        out[idx] = engine(f, Z[idx], sphere, dens, n_small, per_octave)
     return out
-
-
-def _numeric_tail(dens: RadialDensity, R: float, power: int) -> float:
-    u = np.linspace(math.log(R), math.log(dens.horizon), 401)
-    r = np.exp(u)
-    return float(np.trapezoid(r**power * dens.rho(r) * r, u))
 
 
 def jump_raw_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
     """int (f(z+u) - f(z)) nu(du) per sample (raw increment; needs the
     density integrable at 0 against r, i.e. p < 2)."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    out = np.empty(Z.shape[0])
-    for idx in _norm_buckets(Z):
-        out[idx] = _jump_raw_chunk_impl(f, Z[idx], sphere, dens, n_small, per_octave)
-    return out
+    return _bucketed(_jump_raw, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
 
 
 def jump_ball_chunk(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=8):
     """int (f(z+u) - f(z) - <grad f(z), u> 1_{|u|<=1}) nu(du) per sample."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    out = np.empty(Z.shape[0])
-    for idx in _norm_buckets(Z):
-        out[idx] = _jump_ball_chunk_impl(f, Z[idx], sphere, dens, n_small, per_octave)
-    return out
+    return _bucketed(_jump_ball, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
 
 
 def jump_vector_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
-    """int (f(z+u) - f(z)) u nu(du) per sample, as an (m, d) array; needs
-    the stable range alpha in (1, 2) for convergence at both ends."""
-    if _is_constant(f):
-        return np.zeros(Z.shape)
-    out = np.empty(Z.shape)
-    for idx in _norm_buckets(Z):
-        out[idx] = _jump_vector_chunk_impl(f, Z[idx], sphere, dens, n_small, per_octave)
-    return out
+    """int (f(z+u) - f(z)) u nu(du) per sample, as an (m, d) array.
+
+    The radial factor of u cancels one power of the density, so this
+    needs p < 3 near the origin and, for a pure power, p > 2 in the tail
+    (finite first moment), i.e. the stable range alpha in (1, 2)."""
+    return _bucketed(_jump_vector, f, Z, sphere, dens, n_small, per_octave, Z.shape)
 
 
 def jump_grad_diff_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
     """int <grad f(z+u) - grad f(z), u> nu(du) per sample (scalar)."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    out = np.empty(Z.shape[0])
-    for idx in _norm_buckets(Z):
-        out[idx] = _jump_grad_diff_chunk_impl(f, Z[idx], sphere, dens, n_small, per_octave)
-    return out
+    return _bucketed(_jump_grad_diff, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
 
 
 def jump_square_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
     """int (f(z+u) - f(z))^2 nu(du) per sample."""
-    if _is_constant(f):
-        return np.zeros(Z.shape[0])
-    out = np.empty(Z.shape[0])
-    for idx in _norm_buckets(Z):
-        out[idx] = _jump_square_chunk_impl(f, Z[idx], sphere, dens, n_small, per_octave)
-    return out
+    return _bucketed(_jump_square, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])

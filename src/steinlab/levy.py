@@ -191,12 +191,8 @@ class KFunction:
     @property
     def r_k_limit_matches_k1(self) -> bool:
         """r k(r) -> k(1) as r -> 0+, the hallmark of the alpha = 1 profile."""
-        if self.family == "stable" and self.alpha == 1.0:
-            return True
-        if self.family == "tempered" and self.alpha == 1.0:
-            # r k(r) -> c while k(1) = c e^-lam
-            return False
-        return False
+        # a tempered alpha = 1 profile has r k(r) -> c but k(1) = c e^-lam
+        return self.family == "stable" and self.alpha == 1.0
 
     def _check_decreasing(self):
         r = np.logspace(-6, 4, 64)

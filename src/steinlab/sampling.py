@@ -28,7 +28,7 @@ __all__ = [
     "export_csv",
 ]
 
-_CHUNK = 65536
+CHUNK = 4096
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -245,8 +245,8 @@ def _total_shift(law: IDLaw) -> np.ndarray:
 def mc_expectation(f, batch: SampleBatch, growth_order: float = 0.0) -> MCEstimate:
     """Sample mean and standard error of f over the batch.
 
-    The reduction runs over fixed-size chunks in index order, so the
-    result is bit-identical however the evaluation is parallelized.
+    The reduction runs over fixed-size chunks in index order, so reruns
+    on the same batch give the same bits.
     Expectations of unbounded integrands are only offered when the
     declared ``growth_order`` p (|f(x)| <= C (1 + |x|)^p) is strictly
     below the law's tail index; otherwise the moment may not exist and
@@ -258,24 +258,37 @@ def mc_expectation(f, batch: SampleBatch, growth_order: float = 0.0) -> MCEstima
             f"declared growth order {growth_order} is not below the tail index {alpha}; "
             "the expectation may not exist"
         )
-    n = batch.n
-    acc = None
-    acc2 = None
-    for start in range(0, n, _CHUNK):
-        pts = batch.points[start : start + _CHUNK]
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape[0] != pts.shape[0]:
+    return _chunked_mean(batch, f)
+
+
+def _chunked_mean(batch: SampleBatch, per_chunk) -> MCEstimate:
+    """Mean and standard error of a per-sample statistic, evaluated by
+    ``per_chunk`` on CHUNK rows of the batch at a time.
+
+    Each chunk contributes its count, mean and centred sum of squares,
+    merged in chunk-index order by the pairwise update of Chan, Golub and
+    LeVeque (1983), so the result is deterministic and a mean that is
+    large against the spread costs the variance no precision."""
+    n = 0
+    for start in range(0, batch.n, CHUNK):
+        vals = np.asarray(per_chunk(batch.points[start : start + CHUNK]), dtype=float)
+        k = min(CHUNK, batch.n - start)
+        if vals.shape[:1] != (k,):
             raise DomainError("f must return one value per sample point")
-        if not np.all(np.isfinite(vals)):
-            bad = start + int(np.nonzero(~np.isfinite(vals).reshape(vals.shape[0], -1).all(axis=1))[0][0])
+        finite = np.isfinite(vals).reshape(k, -1).all(axis=1)
+        if not finite.all():
+            bad = start + int(np.argmin(finite))
             raise EvaluationError(f"non-finite integrand at sample index {bad}", node=bad)
-        s1 = vals.sum(axis=0)
-        s2 = (vals * vals).sum(axis=0)
-        acc = s1 if acc is None else acc + s1
-        acc2 = s2 if acc2 is None else acc2 + s2
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    se = np.sqrt(var / max(n - 1, 1))
+        mean_k = vals.mean(axis=0)
+        m2_k = ((vals - mean_k) ** 2).sum(axis=0)
+        if n == 0:
+            mean, m2 = mean_k, m2_k
+        else:
+            delta = mean_k - mean
+            mean = mean + delta * (k / (n + k))
+            m2 = m2 + m2_k + delta**2 * (n * k / (n + k))
+        n += k
+    se = np.sqrt(m2 / n / max(n - 1, 1))
     return MCEstimate(value=mean, std_error=se, n=n)
 
 

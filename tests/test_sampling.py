@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from steinlab import DomainError, RegimeError, UnsupportedFamilyError
+from steinlab import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
+from steinlab.jumps import CHUNK
 from steinlab.levy import IDLaw, LevyPolar, char_fn, isotropic_stable_law, stable_k
 from steinlab.numerics import sphere_from_atoms
 from steinlab.sampling import (
+    SampleBatch,
     empirical_char_fn,
     export_csv,
     make_rng,
@@ -211,6 +213,32 @@ class TestMCExpectation:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,x2"
         assert len(lines) == 11
+
+
+class TestChunkedReducer:
+    """The reducer behind mc_expectation and the per-sample residual estimators."""
+
+    def test_nonfinite_statistic_reports_sample_index(self):
+        from steinlab.stein import _chunked_mean
+
+        batch = sample_isotropic_stable(1.5, 1, 3 * CHUNK, seed=24)
+        bad = CHUNK + 17
+        marked = batch.points[bad, 0]
+        with pytest.raises(EvaluationError) as exc:
+            _chunked_mean(batch, lambda Z: np.where(Z[:, 0] == marked, np.nan, 1.0))
+        assert exc.value.node == bad
+
+    @pytest.mark.parametrize("route", ["chunked_mean", "mc_expectation"])
+    def test_large_mean_keeps_its_standard_error(self, route):
+        from steinlab.stein import _chunked_mean
+
+        n = 4 * CHUNK
+        batch = SampleBatch(points=make_rng(25).standard_normal((n, 1)), seed=25, law={})
+        stat = lambda Z: 1e8 + Z[:, 0]
+        est = _chunked_mean(batch, stat) if route == "chunked_mean" else mc_expectation(stat, batch)
+        exact = np.std(stat(batch.points), ddof=1) / math.sqrt(n)
+        assert float(est.std_error) == pytest.approx(exact, rel=1e-6)
+        assert float(est.value) == pytest.approx(float(np.mean(stat(batch.points))), rel=1e-15)
 
 
 class SampleBatchStub:

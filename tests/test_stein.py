@@ -292,6 +292,11 @@ class TestSteinSolver:
         assert sol.evaluate(np.array([0.3])) == 0.0
         assert np.all(sol.gradient(np.array([[0.3], [1.0]])) == 0.0)
 
+    def test_verify_constant_h_is_exact(self):
+        law = isotropic_stable_law(1.5, 1)
+        sol = stein_solve(law, constant_fn(0.7, 1))
+        assert verify_stein_solution(law, sol, np.linspace(-2.0, 2.0, 5)[:, None]) <= 1e-12
+
     def test_unnormalized_h_rejected(self):
         law = isotropic_stable_law(1.5, 1)
         with pytest.raises(DomainError):
