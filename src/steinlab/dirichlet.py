@@ -35,7 +35,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw
-from .numerics import TestFunction, gaussian_bump, grad_fd, surface_area
+from .numerics import TestFunction, _ray_points, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
 from .stein import _chunked_mean, generator_apply, generator_tilt
 
@@ -95,12 +95,12 @@ def _gamma1_integral_at(f, g, X, sphere, dens, n_small=24, per_octave=12):
     R_want = _cutoff(X, max(_reach(f), _reach(g)), dens)
     r, c, _, tail = _radial_rule(dens, R_want, 2, 0, n_small, per_octave)
 
-    def increment(x):
-        inc = _increment(f, X, x, r, fz)
-        inc *= _increment(g, X, x, r, gz)
+    def increment(x, rows):
+        inc = _increment(f, X[rows], x, r, fz[rows])
+        inc *= _increment(g, X[rows], x, r, gz[rows])
         return inc
 
-    radial = _along_directions(sphere, c, increment)
+    radial = _along_directions(sphere, c, X.shape[0], increment)
     return 0.5 * (sphere.weights @ radial + fz * gz * tail * sphere.total_mass)
 
 
@@ -217,15 +217,18 @@ def _second_difference_double(law, f, X, n_small=12, per_octave=8):
     # int (f(x+u) - f(x))^2 dnu~, reused for the tail
     gamma_like = sphere.weights @ (((shifted - fz[None, :, None]) ** 2) @ c_all)
     out = np.zeros(m)
-    for a, (x_a, w_a) in enumerate(zip(sphere.atoms, sphere.weights)):
-        for b, (x_b, w_b) in enumerate(zip(sphere.atoms, sphere.weights)):
-            # f(x + r_i x_a + r_l x_b) on the combined radial grid
-            base = X[:, None, None, :] + r_all[None, :, None, None] * x_a + r_all[None, None, :, None] * x_b
-            fuv = np.asarray(
-                f.evaluate(base.reshape(m * K * K, -1)), dtype=float
-            ).reshape(m, K, K)
-            second = fuv - shifted[a][:, :, None] - shifted[b][:, None, :] + fz[:, None, None]
-            out += w_a * w_b * np.einsum("mkl,k,l->m", second**2, c_all, c_all)
+    atoms, weights = sphere.atoms, sphere.weights
+    for a in range(atoms.shape[0]):
+        # f(x + r_k x_a + r_l x_b) = f.along(U, x_b) at U = x + r_k x_a: the
+        # double shift never forms the 2 r_k r_l <x_a, x_b> term on its own
+        U = _ray_points(X, atoms[a], r_all)
+        # the pair (b, a) is the pair (a, b) with k and l swapped
+        for b in range(a, atoms.shape[0]):
+            second = _shifted_eval(f, U, atoms[b], r_all).reshape(m, K, K)
+            second -= shifted[a][:, :, None]
+            second -= (shifted[b] - fz[:, None])[:, None, :]
+            np.square(second, out=second)
+            out += (1.0 if a == b else 2.0) * weights[a] * weights[b] * ((second @ c_all) @ c_all)
     # big jumps beyond R on either side reduce the second difference to a
     # plain increment of the other variable
     out += 2.0 * tail * gamma_like + (fz**2) * tail**2

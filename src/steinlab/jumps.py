@@ -17,6 +17,17 @@ every jump integral in the package: the engines here, the carré du
 champs and its iterate, and the Stein solver's verification.  A caller
 supplies only its increment along one direction, evaluated once on the
 concatenated small- and big-jump nodes.
+
+Increments are evaluated along rays: ``TestFunction.along(Z, x, r)``
+returns f(Z[i] + r[k] x) as an (m, K) array, in closed form for the
+Gaussian bumps, so no (m*K, d) point array is built; test functions
+without a closed form fall back to evaluating those points.
+``_along_directions``, the loop over directions, is the one place that
+blocks rows: it hands each increment the samples in row blocks of at most
+``BLOCK`` values (rows times radial nodes, 128 KiB of doubles).
+Temporaries of that size stay in cache and are reused by the allocator,
+where larger ones are returned to the system and faulted in again on
+every call.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ from .numerics import SphericalGrid, TestFunction, gauss_jacobi_unit, uniform_sp
 from .sampling import CHUNK  # noqa: F401  (the chunk size the engines are sized for)
 
 __all__ = ["RadialDensity", "density_nu", "density_tilde", "quad_sphere_for"]
+
+BLOCK = 16384  # values (rows x radial nodes) an increment covers at a time
 
 
 @dataclass(frozen=True)
@@ -191,10 +204,20 @@ def _cutoff(Z, reach: float, dens: RadialDensity) -> float:
     return min(max(float(np.max(np.linalg.norm(Z, axis=1))) + reach + 1.0, 64.0), dens.horizon)
 
 
-def _along_directions(sphere: SphericalGrid, c, increment):
-    """(directions, samples) array whose row j is increment(x_j) @ c: the
-    radial integral of the (samples, nodes) increment along atom x_j."""
-    return np.stack([increment(x) @ c for x in sphere.atoms])
+def _along_directions(sphere: SphericalGrid, c, m: int, increment):
+    """(directions, m) array of radial integrals: entry [j, rows] is
+    increment(x_j, rows) @ c, where increment(x, rows) is the
+    (samples, nodes) increment along atom x for the samples in the slice
+    rows.  The slices are row blocks of at most BLOCK // nodes samples,
+    so each increment's temporaries stay below BLOCK values; a caller
+    indexes its per-sample arrays by the slice."""
+    out = np.empty((sphere.atoms.shape[0], m))
+    step = max(1, BLOCK // c.size)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        for j, x in enumerate(sphere.atoms):
+            out[j, rows] = increment(x, rows) @ c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +241,16 @@ def _reach(f: TestFunction) -> float:
     )
 
 
+# _shifted_eval and _shifted_grad_dot stay as named steps: perfbench/spans.py
+# times them under these names, here and as imported into dirichlet.
 def _shifted_eval(f, Z, x_dir, r):
     """f(Z[i] + r[k] * x_dir) as an (m, K) array."""
-    m, K = Z.shape[0], r.shape[0]
-    pts = Z[:, None, :] + r[None, :, None] * x_dir[None, None, :]
-    return np.asarray(f.evaluate(pts.reshape(m * K, -1)), dtype=float).reshape(m, K)
+    return f.along(Z, x_dir, r)
 
 
 def _shifted_grad_dot(f, Z, x_dir, r):
     """<grad f(Z[i] + r[k] x), x> as an (m, K) array."""
-    m, K = Z.shape[0], r.shape[0]
-    pts = Z[:, None, :] + r[None, :, None] * x_dir[None, None, :]
-    g = np.asarray(f.gradient(pts.reshape(m * K, -1)), dtype=float)
-    return (g @ x_dir).reshape(m, K)
+    return f.along_slope(Z, x_dir, r)
 
 
 def _increment(f, Z, x_dir, r, fz):
@@ -244,7 +264,9 @@ def _increment(f, Z, x_dir, r, fz):
 def _jump_raw(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
     r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 0, n_small, per_octave)
-    radial = _along_directions(sphere, c, lambda x: _increment(f, Z, x, r, fz))
+    radial = _along_directions(
+        sphere, c, Z.shape[0], lambda x, rows: _increment(f, Z[rows], x, r, fz[rows])
+    )
     return sphere.weights @ radial - fz * tail * sphere.total_mass
 
 
@@ -254,19 +276,21 @@ def _jump_ball(f, Z, sphere, dens, n_small, per_octave):
     r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 2, 0, n_small, per_octave)
     n_ball = np.count_nonzero(r <= 1.0)
 
-    def increment(x):
-        inc = _increment(f, Z, x, r, fz)
-        inc[:, :n_ball] -= np.outer(gz @ x, r[:n_ball])  # compensator on jumps in the unit ball
+    def increment(x, rows):
+        inc = _increment(f, Z[rows], x, r, fz[rows])
+        inc[:, :n_ball] -= np.outer(gz[rows] @ x, r[:n_ball])  # compensator on jumps in the unit ball
         return inc
 
-    radial = _along_directions(sphere, c, increment)
+    radial = _along_directions(sphere, c, Z.shape[0], increment)
     return sphere.weights @ radial - fz * tail * sphere.total_mass
 
 
 def _jump_vector(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
     r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 1, n_small, per_octave)
-    radial = _along_directions(sphere, c, lambda x: _increment(f, Z, x, r, fz))
+    radial = _along_directions(
+        sphere, c, Z.shape[0], lambda x, rows: _increment(f, Z[rows], x, r, fz[rows])
+    )
     weighted = sphere.weights[:, None] * sphere.atoms
     return radial.T @ weighted - np.outer(fz * tail, weighted.sum(axis=0))
 
@@ -275,19 +299,24 @@ def _jump_grad_diff(f, Z, sphere, dens, n_small, per_octave):
     gz = np.asarray(f.gradient(Z), dtype=float)
     r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 1, n_small, per_octave)
 
-    def increment(x):
-        inc = _shifted_grad_dot(f, Z, x, r)
-        inc -= (gz @ x)[:, None]
+    def increment(x, rows):
+        inc = _shifted_grad_dot(f, Z[rows], x, r)
+        inc -= (gz[rows] @ x)[:, None]
         return inc
 
-    radial = _along_directions(sphere, c, increment)
+    radial = _along_directions(sphere, c, Z.shape[0], increment)
     return sphere.weights @ radial - tail * (gz @ (sphere.weights @ sphere.atoms))
 
 
 def _jump_square(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
     r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 2, 0, n_small, per_octave)
-    radial = _along_directions(sphere, c, lambda x: np.square(_increment(f, Z, x, r, fz)))
+
+    def increment(x, rows):
+        inc = _increment(f, Z[rows], x, r, fz[rows])
+        return np.square(inc, out=inc)
+
+    radial = _along_directions(sphere, c, Z.shape[0], increment)
     return sphere.weights @ radial + fz**2 * tail * sphere.total_mass
 
 

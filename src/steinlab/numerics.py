@@ -405,6 +405,11 @@ class TestFunction:
     factorizes as F(f)(xi) = G(|xi|) e^{-i<xi, fourier_center>}; it powers
     the fast semigroup evaluation path.  ``m_bounds`` holds
     (sup|f|, sup|grad f|, sup|Hess f|_op) when known in closed form.
+
+    ``ray`` and ``ray_slope`` are optional closed forms of ``along`` and
+    ``along_slope``: the values and directional slopes on the rays
+    z + r x, computed without building the (m*K, d) points.  A constructor
+    that changes f must set them (``scaled``) or leave them out.
     """
 
     name: str
@@ -417,9 +422,24 @@ class TestFunction:
     fourier_center: Optional[np.ndarray] = None
     m_bounds: Optional[tuple] = None
     reach: Optional[float] = None  # radius beyond which |f| is negligible
+    ray: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    ray_slope: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x):
         return self.evaluate(x)
+
+    def along(self, Z, x, r) -> np.ndarray:
+        """f(Z[i] + r[k] x) as an (m, K) array, for a unit direction x."""
+        if self.ray is not None:
+            return self.ray(Z, x, r)
+        return np.asarray(self.evaluate(_ray_points(Z, x, r)), dtype=float).reshape(Z.shape[0], -1)
+
+    def along_slope(self, Z, x, r) -> np.ndarray:
+        """<grad f(Z[i] + r[k] x), x> as an (m, K) array, for a unit direction x."""
+        if self.ray_slope is not None:
+            return self.ray_slope(Z, x, r)
+        g = np.asarray(self.gradient(_ray_points(Z, x, r)), dtype=float)
+        return (g @ x).reshape(Z.shape[0], -1)
 
     def grad(self, x, scale: float = 1.0):
         if self.gradient is not None:
@@ -429,6 +449,7 @@ class TestFunction:
     def scaled(self, amplitude: float) -> "TestFunction":
         """Same shape rescaled by a constant amplitude."""
         ev, gr, fo, rf = self.evaluate, self.gradient, self.fourier, self.radial_fourier
+        ry, rs = self.ray, self.ray_slope
         return replace(
             self,
             name=f"{amplitude:g}*{self.name}",
@@ -437,6 +458,8 @@ class TestFunction:
             fourier=None if fo is None else (lambda xi, _f=fo: amplitude * _f(xi)),
             radial_fourier=None if rf is None else (lambda rho, _r=rf: amplitude * _r(rho)),
             m_bounds=None if self.m_bounds is None else tuple(amplitude * b for b in self.m_bounds),
+            ray=None if ry is None else (lambda Z, x, r, _y=ry: amplitude * _y(Z, x, r)),
+            ray_slope=None if rs is None else (lambda Z, x, r, _s=rs: amplitude * _s(Z, x, r)),
         )
 
     def product(self, other: "TestFunction") -> "TestFunction":
@@ -456,6 +479,11 @@ class TestFunction:
             support_radius=min(f.support_radius, g.support_radius),
             dim=f.dim if f.dim is not None else g.dim,
         )
+
+
+def _ray_points(Z, x, r) -> np.ndarray:
+    """The points Z[i] + r[k] x as an (m*K, d) array, row i*K + k."""
+    return (Z[:, None, :] + r[None, :, None] * x[None, None, :]).reshape(-1, Z.shape[1])
 
 
 def _as_points(x, d):
@@ -515,6 +543,44 @@ def gaussian_bump(
             out = out * (-1j * pts[:, coord] / (2.0 * a))
         return out[0] if single else out
 
+    def _ray_exp(Z, x, r):
+        """y = Z - c, s = <y, x> + r and amp exp(-a |y + r x|^2) on the rays,
+        by the split |y + r x|^2 = |y - <y,x> x|^2 + (<y,x> + r)^2: the
+        expansion |y|^2 + 2r<y,x> + r^2 cancels for samples far from c.
+
+        The exponent is floored at -700, so the factor never drops below
+        1e-304 (against 0 or a subnormal): numpy's exp, and arithmetic on
+        subnormals, run up to 100x slower, and far samples put most of
+        the nodes there."""
+        y = Z - c
+        p = y @ x
+        perp = y - p[:, None] * x
+        s = np.add.outer(p, r)
+        e = np.square(s)
+        e += np.einsum("nd,nd->n", perp, perp)[:, None]
+        e *= -a
+        np.maximum(e, -700.0, out=e)
+        np.exp(e, out=e)
+        e *= amp
+        return y, s, e
+
+    def ray(Z, x, r):
+        y, _, e = _ray_exp(Z, x, r)
+        if coord is not None:
+            e *= np.add.outer(y[:, coord], r * x[coord])
+        return e
+
+    def ray_slope(Z, x, r):
+        # <grad f, x> = -2a (<y,x> + r) f for the plain bump, and
+        # e (x_j - 2a (<y,x> + r)(y_j + r x_j)) for the coordinate bump
+        y, s, e = _ray_exp(Z, x, r)
+        s *= -2.0 * a
+        if coord is not None:
+            s *= np.add.outer(y[:, coord], r * x[coord])
+            s += x[coord]
+        e *= s
+        return e
+
     radial_fourier = None
     m_bounds = None
     if coord is None:
@@ -537,6 +603,8 @@ def gaussian_bump(
         fourier_center=c,
         m_bounds=m_bounds,
         reach=float(np.linalg.norm(c)) + 7.0 / math.sqrt(a),
+        ray=ray,
+        ray_slope=ray_slope,
     )
 
 

@@ -44,7 +44,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw, c_alpha_d, cauchy_c, convert_representation
-from .numerics import TestFunction
+from .numerics import TestFunction, _ray_points
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
 __all__ = [
@@ -677,6 +677,9 @@ def verify_stein_solution(
     vanish = 1 if small_jump_form else 2
     r, c, R, tail_mass = _radial_rule(dens, R_exp, vanish, 0, 16 * budget, 12 * budget)
 
+    # every evaluation below lies within R of the grid: tabulate that far once
+    c_norm = 0.0 if sol.h.fourier_center is None else float(np.linalg.norm(sol.h.fourier_center))
+    sol._ensure_tables(float(np.max(np.linalg.norm(pts, axis=1))) + R + c_norm)
     fz = sol.evaluate(pts)
     gz = sol.gradient_consistent(pts)
     hz = np.asarray(sol.h.evaluate(pts), dtype=float)
@@ -689,14 +692,13 @@ def verify_stein_solution(
         n_ball = np.count_nonzero(r <= 1.0)  # the compensator acts on jumps in the unit ball
     drift = ((drift_shift[None, :] - pts) * gz).sum(axis=1)
 
-    def increment(x_dir):
-        shifted = pts[:, None, :] + r[None, :, None] * x_dir[None, None, :]
-        inc = sol.evaluate(shifted.reshape(-1, d)).reshape(m, r.size)
-        inc -= fz[:, None]
-        inc[:, :n_ball] -= np.outer(gz @ x_dir, r[:n_ball])
+    def increment(x_dir, rows):
+        inc = sol.evaluate(_ray_points(pts[rows], x_dir, r)).reshape(-1, r.size)
+        inc -= fz[rows, None]
+        inc[:, :n_ball] -= np.outer(gz[rows] @ x_dir, r[:n_ball])
         return inc
 
-    nonlocal_part = sphere.weights @ _along_directions(sphere, c, increment)
+    nonlocal_part = sphere.weights @ _along_directions(sphere, c, m, increment)
     # far field: f_h(x + r w) ~ f_h(x + R w) + (E h - h(inf)) log(r / R), with
     # h(inf) read off at the cutoff (0 for a decaying h, h itself for a constant)
     boundary = (pts[None, :, :] + R * sphere.atoms[:, None, :]).reshape(-1, d)

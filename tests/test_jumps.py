@@ -10,12 +10,14 @@ far cutoff, where every increment has reached its limiting value.
 """
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from steinlab.dirichlet import _gamma1_integral_at
+from steinlab.dirichlet import _gamma1_integral_at, _quadrature_backed, _second_difference_double
 from steinlab.jumps import (
     density_nu,
     density_tilde,
@@ -24,9 +26,11 @@ from steinlab.jumps import (
     jump_raw_chunk,
     jump_square_chunk,
     jump_vector_chunk,
+    quad_sphere_for,
 )
-from steinlab.levy import c_alpha_d, cauchy_c, stable_k, tempered_k
-from steinlab.numerics import gaussian_bump, sphere_from_atoms
+from steinlab.levy import c_alpha_d, cauchy_c, isotropic_stable_law, stable_k, tempered_k
+from steinlab.numerics import _ray_points, gaussian_bump, sphere_from_atoms, uniform_sphere
+from steinlab.sampling import sample_stable_law
 
 F_A, F_C = 1.0, 0.3     # f = gaussian_bump(1, a=1, center=[0.3])
 G_A, G_C = 0.5, -0.4    # g, the second factor of the carre du champs
@@ -173,3 +177,162 @@ def test_far_sample_square_matches_adaptive_quadrature():
     got = float(jump_square_chunk(F, np.array([[FAR_SAMPLE]]), SPHERE, dens)[0])
     ref = _reference(_inc_square, 2, 0, dens, FAR_SAMPLE)
     assert abs(got - ref) <= 0.05 * abs(ref), (got, ref)
+
+
+# ---------------------------------------------------------------------------
+# ray evaluation: closed forms against materialised points
+# ---------------------------------------------------------------------------
+
+FAR_NORMS = (1e2, 1e3, 1e4, 1e5)
+RAY_TOL = 1e-10         # the points z + r x themselves carry |z| eps ~ 2e-11 at |z| = 1e5
+ENGINE_TOL = 1e-11      # engines: closed forms against the same f without them
+
+
+def _bumps(d):
+    c = np.linspace(0.3, -0.2, d)
+    return {
+        "plain": gaussian_bump(d, a=1.0, center=c),
+        "coord": gaussian_bump(d, a=0.5, center=c, coord=d - 1),
+        "scaled": gaussian_bump(d, a=1.5, center=-c, coord=0).scaled(0.37),
+    }
+
+
+def _without_closed_forms(f):
+    return replace(f, ray=None, ray_slope=None)
+
+
+def _far_samples(d, m, seed):
+    """Cauchy-tailed samples whose first rows sit at norms 1e2 .. 1e5."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_cauchy((m, d))
+    for i, R in enumerate(FAR_NORMS):
+        v = rng.normal(size=d)
+        Z[i] = R * v / np.linalg.norm(v)
+    return Z
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["plain", "coord", "scaled"])
+def test_along_matches_materialised_points(d, kind):
+    f = _bumps(d)[kind]
+    Z = _far_samples(d, 40, d)
+    far = Z[len(FAR_NORMS) - 1]
+    # the uniform directions, and the ray from the farthest sample through the bump
+    to_bump = (f.fourier_center - far) / np.linalg.norm(f.fourier_center - far)
+    r = np.concatenate([np.geomspace(1e-3, 2e5, 60), np.linalg.norm(f.fourier_center - far) + np.linspace(-3, 3, 13)])
+    for x in list(uniform_sphere(d, 8).atoms) + [to_bump]:
+        pts = _ray_points(Z, x, r)
+        ref = np.asarray(f.evaluate(pts)).reshape(Z.shape[0], -1)
+        ref_slope = (np.asarray(f.gradient(pts)) @ x).reshape(Z.shape[0], -1)
+        assert _rel_err(f.along(Z, x, r), ref) <= RAY_TOL
+        assert _rel_err(f.along_slope(Z, x, r), ref_slope) <= RAY_TOL
+        # the fallback is the materialised evaluation itself
+        g = _without_closed_forms(f)
+        assert np.array_equal(g.along(Z, x, r), ref)
+        assert np.array_equal(g.along_slope(Z, x, r), ref_slope)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_along_is_accurate_on_a_far_ray_through_the_bump(d):
+    """A sample at |z| ~ 1e5 whose ray x = -e_1 passes the bump: against
+    exact rational arithmetic on the same doubles.  z - c carries |z| eps
+    ~ 1.5e-11 of rounding; the expanded form |y|^2 + 2r<y,x> + r^2 would
+    cancel 1e10-sized terms and lose 1e-6."""
+    a = 0.75
+    c = np.linspace(0.3, -0.7, d)
+    f = gaussian_bump(d, a=a, center=c)
+    x = np.zeros(d)
+    x[0] = -1.0
+    z = c + 0.45
+    z[0] = 1e5 + 0.1234567
+    r = (z[0] - c[0]) + np.array([-1.5, -0.3, 0.0, 0.6, 2.1])
+    got = f.along(z[None, :], x, r)[0]
+    slope = f.along_slope(z[None, :], x, r)[0]
+    for k, rk in enumerate(r):
+        u = [Fraction(zj) - Fraction(cj) + Fraction(rk) * Fraction(xj) for zj, cj, xj in zip(z, c, x)]
+        want = math.exp(-a * float(sum(v * v for v in u)))
+        want_slope = -2.0 * a * float(sum(v * Fraction(xj) for v, xj in zip(u, x))) * want
+        assert abs(got[k] - want) <= 1e-9 * want
+        assert abs(slope[k] - want_slope) <= 1e-9 * max(abs(want_slope), want)
+
+
+def test_derived_test_functions_keep_closed_forms_correct():
+    f = gaussian_bump(2, a=1.0, center=[0.3, -0.1])
+    Z = _far_samples(2, 20, 5)
+    x = np.array([0.6, 0.8])
+    r = np.geomspace(1e-3, 1e2, 30)
+    s = f.scaled(-2.5)
+    assert np.allclose(s.along(Z, x, r), -2.5 * f.along(Z, x, r), rtol=1e-14, atol=0.0)
+    assert np.allclose(s.along_slope(Z, x, r), -2.5 * f.along_slope(Z, x, r), rtol=1e-14, atol=0.0)
+    g = gaussian_bump(2, a=0.5, coord=1)
+    fg = f.product(g)
+    assert fg.ray is None and fg.ray_slope is None
+    assert _rel_err(fg.along(Z, x, r), f.along(Z, x, r) * g.along(Z, x, r)) <= RAY_TOL
+    backed = _quadrature_backed("f", f.evaluate, f.reach, 2)
+    assert backed.ray is None and backed.ray_slope is None
+    assert np.array_equal(backed.along(Z, x, r), f.evaluate(_ray_points(Z, x, r)).reshape(Z.shape[0], -1))
+
+
+ENGINES = {
+    "raw": (jump_raw_chunk, 0.5),
+    "ball": (jump_ball_chunk, 1.5),
+    "vector": (jump_vector_chunk, 1.5),
+    "grad_diff": (jump_grad_diff_chunk, 1.5),
+    "square": (jump_square_chunk, 1.5),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_engines_match_the_materialised_fallback(d, engine):
+    run, alpha = ENGINES[engine]
+    law = isotropic_stable_law(alpha, d)
+    Z = sample_stable_law(law, 400, 11 + d).points
+    Z[: len(FAR_NORMS)] = _far_samples(d, len(FAR_NORMS), d)
+    sphere = quad_sphere_for(law, 12)
+    for measure in (density_nu, density_tilde):
+        dens = measure(law.levy.kf)
+        for f in _bumps(d).values():
+            got = run(f, Z, sphere, dens)
+            ref = run(_without_closed_forms(f), Z, sphere, dens)
+            assert _rel_err(got, ref) <= ENGINE_TOL, (engine, f.name)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_second_difference_and_gamma_match_the_materialised_fallback(d):
+    law = isotropic_stable_law(1.5, d)
+    dens = density_tilde(law.levy.kf)
+    g = np.linspace(-2.0, 2.0, 3)
+    X = np.stack(np.meshgrid(*([g] * d)), -1).reshape(-1, d)
+    bumps = _bumps(d)
+    for f in bumps.values():
+        plain = _without_closed_forms(f)
+        assert _rel_err(_second_difference_double(law, f, X), _second_difference_double(law, plain, X)) <= ENGINE_TOL
+        other = bumps["plain"]
+        got = _gamma1_integral_at(f, other, X, quad_sphere_for(law, 12), dens)
+        ref = _gamma1_integral_at(plain, _without_closed_forms(other), X, quad_sphere_for(law, 12), dens)
+        assert _rel_err(got, ref) <= ENGINE_TOL
+
+
+@pytest.mark.parametrize("run", [jump_square_chunk, jump_ball_chunk])
+def test_engines_evaluate_only_the_sample_rows(run):
+    """The ray closed forms replace f.evaluate on the (m*K, d) jump points:
+    a bump is evaluated on its m samples alone (once per norm bucket)."""
+    law = isotropic_stable_law(1.5, 2)
+    Z = sample_stable_law(law, 3000, 4).points
+    sphere = quad_sphere_for(law, 12)
+    dens = density_nu(law.levy.kf)
+    f = gaussian_bump(2, a=1.0, center=[0.3, 0.1])
+    for tf, fast in ((f, True), (_without_closed_forms(f), False)):
+        rows = []
+
+        def counting(x, _ev=tf.evaluate):
+            rows.append(np.atleast_2d(x).shape[0])
+            return _ev(x)
+
+        run(replace(tf, evaluate=counting), Z, sphere, dens)
+        assert (sum(rows) == Z.shape[0]) == fast, rows
