@@ -35,7 +35,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw
-from .numerics import TestFunction, _ray_points, gaussian_bump, grad_fd, surface_area
+from .numerics import TestFunction, _ray_points, _simpson_rule, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
 from .stein import _chunked_mean, generator_apply, generator_tilt
 
@@ -242,14 +242,13 @@ def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
     if d == 1:
         if f.fourier is None:
             raise DomainError("symbol route needs a test function with a transform")
-        xi = _simpson_grid(-14.0, 14.0, 769)
-        Fxi = np.asarray(f.fourier(xi.nodes[:, None]))
-        phase = np.exp(1j * np.outer(xi.nodes, np.array([x[0]])))[:, 0]
-        A = np.abs(xi.nodes)[:, None] ** alpha + np.abs(xi.nodes)[None, :] ** alpha
-        K = np.abs(xi.nodes[:, None] + xi.nodes[None, :]) ** alpha
+        xi, w = _simpson_rule(-14.0, 14.0, 769)
+        Fxi = np.asarray(f.fourier(xi[:, None]))
+        phase = np.exp(1j * np.outer(xi, np.array([x[0]])))[:, 0]
+        A = np.abs(xi)[:, None] ** alpha + np.abs(xi)[None, :] ** alpha
+        K = np.abs(xi[:, None] + xi[None, :]) ** alpha
         S = A - K
         g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
-        w = xi.weights
         val = np.einsum(
             "i,j,i,j,ij->", Fxi * phase, Fxi * phase, w, w, g2
         ) / (2.0 * math.pi) ** 2
@@ -258,39 +257,24 @@ def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
         if f.radial_fourier is None or f.fourier_center is None:
             raise DomainError("the planar symbol route needs a radially shifted bump")
         s = float(np.linalg.norm(x - f.fourier_center))
-        rho = _simpson_grid(0.0, 14.0, 385)
-        delta = _simpson_grid(0.0, 2.0 * math.pi, 257)
-        G = np.real(np.asarray(f.radial_fourier(rho.nodes), dtype=complex))
-        P, T = np.meshgrid(rho.nodes, rho.nodes, indexing="ij")
+        rho, w_rho = _simpson_rule(0.0, 14.0, 385)
+        delta, w_delta = _simpson_rule(0.0, 2.0 * math.pi, 257)
+        G = np.real(np.asarray(f.radial_fourier(rho), dtype=complex))
+        P, T = np.meshgrid(rho, rho, indexing="ij")
+        # invariants of the angle loop, in the grouping the loop body adds them with
+        square_sum, cross, power_sum = P**2 + T**2, 2.0 * P * T, P**alpha + T**alpha
+        Gw = G * rho * w_rho
         out = 0.0
         from scipy.special import j0
 
-        for dl, wl in zip(delta.nodes, delta.weights):
-            kappa = np.sqrt(np.maximum(P**2 + T**2 + 2.0 * P * T * math.cos(dl), 0.0))
-            S = P**alpha + T**alpha - kappa**alpha
+        for dl, wl in zip(delta, w_delta):
+            kappa = np.sqrt(np.maximum(square_sum + cross * math.cos(dl), 0.0))
+            S = power_sum - kappa**alpha
             g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
             bess = j0(kappa * s)
-            out += wl * np.einsum(
-                "i,j,ij->", G * rho.nodes * rho.weights, G * rho.nodes * rho.weights, g2 * bess
-            )
+            out += wl * np.einsum("i,j,ij->", Gw, Gw, g2 * bess)
         return float(out * 2.0 * math.pi / (2.0 * math.pi) ** 4)
     raise UnsupportedFamilyError("symbol route implemented for d in {1, 2}")
-
-
-@dataclass(frozen=True)
-class _Rule:
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def _simpson_grid(lo, hi, n) -> _Rule:
-    if n % 2 == 0:
-        n += 1
-    x = np.linspace(lo, hi, n)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return _Rule(x, w * (x[1] - x[0]) / 3.0)
 
 
 def bakry_emery_check(law: IDLaw, f_list: Sequence[TestFunction], grid) -> float:
@@ -336,19 +320,19 @@ def poincare_residual(law: IDLaw, f: TestFunction, n: int, seed: int, n_dirs: in
 # ---------------------------------------------------------------------------
 
 
-def _radial_rate_quad(alpha, d, fn, lo=1e-7, hi=14.0):
-    """int_0^hi fn(rho) rho^{d-1} drho on a log grid plus the analytic
-    power-law cell below lo (fn ~ rho^{alpha-2} near 0)."""
-    u = np.linspace(math.log(lo), math.log(hi), 4001)
+_RATE_LO, _RATE_HI = 1e-7, 14.0
+
+
+def _radial_rate_quad(alpha, d, fn):
+    """int_0^_RATE_HI fn(rho) rho^{d-1} drho: Simpson in u = log rho above
+    _RATE_LO plus the analytic power-law cell below it (fn ~ rho^{alpha-2}
+    near 0)."""
+    u, w = _simpson_rule(math.log(_RATE_LO), math.log(_RATE_HI), 4001)
     r = np.exp(u)
-    w = np.full(r.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (u[1] - u[0]) / 3.0
     val = float(np.dot(w, fn(r) * r**d))
     # small cell: fn rho^{d-1} ~ C rho^{alpha+d-3}
-    c_small = fn(np.array([lo]))[0] * lo ** (2.0 - alpha)
-    val += c_small * lo ** (alpha + d - 2.0) / (alpha + d - 2.0)
+    c_small = fn(np.array([_RATE_LO]))[0] * _RATE_LO ** (2.0 - alpha)
+    val += c_small * _RATE_LO ** (alpha + d - 2.0) / (alpha + d - 2.0)
     return val
 
 
@@ -357,13 +341,9 @@ def _psi2_transform(d):
     return lambda rho: (math.pi / 2.0) ** (d / 2.0) * np.exp(-np.asarray(rho) ** 2 / 8.0)
 
 
-def rate_numerator(alpha: float, d: int, R: float, j: int = 0) -> float:
-    """E g_{R,j}^2 under the normalized stable law, by the exact
-    frequency-domain formula (the variance, since E g = 0)."""
-    if not (1.0 < alpha < 2.0):
-        raise DomainError("the rate integrals need alpha in (1, 2)")
+def _numerator_integrand(alpha, d, R):
+    """Radial integrand of E g_{R,j}^2, before the rho^{d-1} Jacobian."""
     F2 = _psi2_transform(d)
-    omega = surface_area(d)
 
     def fn(rho):
         damp = np.exp(-(rho**alpha) / (2.0 * R**alpha))
@@ -371,7 +351,15 @@ def rate_numerator(alpha: float, d: int, R: float, j: int = 0) -> float:
         corr = -(alpha**2 / 4.0) * R**-alpha * rho ** (2.0 * alpha - 2.0) / d
         return F2(rho) * (base + corr) * damp
 
-    val = omega * _radial_rate_quad(alpha, d, fn)
+    return fn
+
+
+def rate_numerator(alpha: float, d: int, R: float, j: int = 0) -> float:
+    """E g_{R,j}^2 under the normalized stable law, by the exact
+    frequency-domain formula (the variance, since E g = 0)."""
+    if not (1.0 < alpha < 2.0):
+        raise DomainError("the rate integrals need alpha in (1, 2)")
+    val = surface_area(d) * _radial_rate_quad(alpha, d, _numerator_integrand(alpha, d, R))
     return R ** (2.0 - alpha) * val / (2.0 * math.pi) ** d
 
 
@@ -414,27 +402,14 @@ def _psi_transform(d):
     return lambda rho: math.pi ** (d / 2.0) * np.exp(-np.asarray(rho) ** 2 / 4.0)
 
 
-def _log_simpson_nodes(lo, hi, n) -> _Rule:
-    if n % 2 == 0:
-        n += 1
-    u = np.linspace(math.log(lo), math.log(hi), n)
-    r = np.exp(u)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return _Rule(r, w * (u[1] - u[0]) / 3.0 * r)
-
-
 def _sphere_rule(d: int, n: int):
     """Directions/weights integrating over the unit sphere (exact mass)."""
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    grid = _simpson_grid(0.0, 2.0 * math.pi, n)
+    th, w = _simpson_rule(0.0, 2.0 * math.pi, n)
     # drop the duplicated endpoint by folding its weight onto the start
-    th = grid.nodes[:-1]
-    w = grid.weights[:-1].copy()
-    w[0] += grid.weights[-1]
-    return np.stack([np.cos(th), np.sin(th)], axis=1), w
+    w[0] += w[-1]
+    return np.stack([np.cos(th[:-1]), np.sin(th[:-1])], axis=1), w[:-1]
 
 
 def rate_denominator(alpha: float, d: int, R: float, j: int = 0) -> float:
@@ -447,17 +422,14 @@ def rate_denominator(alpha: float, d: int, R: float, j: int = 0) -> float:
         raise DomainError("the rate integrals need alpha in (1, 2)")
     if d > 2:
         raise UnsupportedFamilyError("rate_denominator implemented for d in {1, 2}")
-    rho_w = _log_simpson_nodes(1e-5, 28.0, 401)
-    rho_v_half = _simpson_grid(0.0, 14.0, 65 if d == 2 else 385)
+    rho_w, w_w = _simpson_rule(1e-5, 28.0, 401, log=True)
+    rho_v, w_v = _simpson_rule(0.0, 14.0, 65 if d == 2 else 385)
     dirs_w, wdirs_w = _sphere_rule(d, 33)
     dirs_v, wdirs_v = _sphere_rule(d, 33)
     pref = math.pi**d / (2.0 * math.pi) ** (2 * d)
-    wv, ww = np.meshgrid(rho_v_half.nodes, rho_w.nodes, indexing="ij")
+    wv, ww = np.meshgrid(rho_v, rho_w, indexing="ij")
     gauss = np.exp(-(wv**2) / 2.0 - (ww**2) / 8.0 - (ww**alpha) / (2.0 * R**alpha))
-    weight = np.outer(
-        rho_v_half.weights * rho_v_half.nodes ** (d - 1),
-        rho_w.weights * rho_w.nodes ** (d - 1),
-    )
+    weight = np.outer(w_v * rho_v ** (d - 1), w_w * rho_w ** (d - 1))
     total = 0.0
     for w_dir, wtw in zip(dirs_w, wdirs_w):
         for v_dir, wtv in zip(dirs_v, wdirs_v):
@@ -504,18 +476,10 @@ def u_ratio_curve(alpha: float, d: int, j: int, R_list: Sequence[float]) -> list
 
 
 def _rate_numerator_coarse(alpha, d, R, j):
-    F2 = _psi2_transform(d)
-    omega = surface_area(d)
-
-    def fn(rho):
-        damp = np.exp(-(rho**alpha) / (2.0 * R**alpha))
-        base = (alpha / 2.0) * rho ** (alpha - 2.0) * (1.0 + (alpha - 2.0) / d)
-        corr = -(alpha**2 / 4.0) * R**-alpha * rho ** (2.0 * alpha - 2.0) / d
-        return F2(rho) * (base + corr) * damp
-
+    fn = _numerator_integrand(alpha, d, R)
     u = np.linspace(math.log(1e-6), math.log(14.0), 801)
     r = np.exp(u)
-    val = omega * float(np.trapezoid(fn(r) * r**d, u))
+    val = surface_area(d) * float(np.trapezoid(fn(r) * r**d, u))
     return R ** (2.0 - alpha) * val / (2.0 * math.pi) ** d
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
-from .numerics import SphericalGrid, log_radial_grid, radial_integral, uniform_sphere
+from .numerics import SphericalGrid, _refine, _simpson_rule, log_radial_grid, radial_integral, uniform_sphere
 
 __all__ = [
     "KFunction",
@@ -449,28 +449,16 @@ def _weight_for(kf: KFunction, kind: str) -> _RadialWeight:
     )
 
 
-def _simpson(vals, h):
-    w = np.full(vals.shape[0], 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return (h / 3.0) * np.dot(w, vals)
-
-
 def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9):
     """Adaptive composite Simpson of f(r) dr on a log grid over (lo, hi)."""
     base = max(16, int(math.ceil(math.log(hi / lo) / min(du_cap, 1.0 / 48.0))) + 1)
-    if base % 2:
-        base += 1
-    prev = None
-    for level in range(5):
-        n = base * 2**level + 1
-        u = np.linspace(math.log(lo), math.log(hi), n)
-        r = np.exp(u)
-        total = _simpson(f(r) * r, u[1] - u[0])
-        if prev is not None and abs(total - prev) <= rel * max(abs(total), 1e-300):
-            return total
-        prev = total
-    return prev
+    base += base % 2
+
+    def estimate(level):
+        r, w = _simpson_rule(lo, hi, base * 2**level + 1, log=True)
+        return np.dot(w, f(r))
+
+    return _refine(estimate, 5, rel)[0]
 
 
 def _osc_tail(A, rho, v, vp, vpp, tail_v):

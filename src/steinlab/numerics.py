@@ -66,9 +66,9 @@ def surface_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Log-spaced radial nodes with trapezoid weights and the cutoffs they
-    were built from.  ``nodes`` are strictly increasing and split at r = 1
-    when the cutoffs straddle it."""
+    """Log-spaced radial nodes with composite Simpson weights (in
+    u = log r) and the cutoffs they were built from.  ``nodes`` are
+    strictly increasing and split at r = 1 when the cutoffs straddle it."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -88,17 +88,46 @@ class RadialGrid:
         object.__setattr__(self, "weights", weights)
 
 
-def _log_panel_nodes(lo: float, hi: float, n: int):
-    # composite Simpson in u = log r; integrating g(r) dr = g(e^u) e^u du
+def _simpson_rule(lo: float, hi: float, n: int, log: bool = False):
+    """Composite Simpson nodes and weights on [lo, hi]; an even ``n`` is
+    rounded up to odd.  With ``log=True`` the nodes are evenly spaced in
+    u = log r and the weights carry the Jacobian r, so that
+    sum(weights * g(nodes)) approximates the integral of g(r) dr."""
     if n % 2 == 0:
         n += 1
-    u = np.linspace(math.log(lo), math.log(hi), n)
-    r = np.exp(u)
-    h = u[1] - u[0]
+    u = np.linspace(math.log(lo), math.log(hi), n) if log else np.linspace(lo, hi, n)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    return r, w * (h / 3.0) * r
+    w *= (u[1] - u[0]) / 3.0
+    if not log:
+        return u, w
+    r = np.exp(u)
+    w *= r
+    return r, w
+
+
+def _refine(estimate, levels: int, rel_tol: float):
+    """Evaluate ``estimate(level)`` for level = 0, 1, ... until two
+    successive levels agree to ``rel_tol`` relative, at most ``levels``
+    times.  Returns (value, err): the last level's value and its distance
+    to the previous one (inf after one level), whether or not the
+    tolerance was met.  Array values compare by their largest entry."""
+    value = prev = None
+    err = math.inf
+    for level in range(levels):
+        value = estimate(level)
+        if prev is not None:
+            if isinstance(value, np.ndarray):
+                err, size = np.max(np.abs(value - prev)), np.max(np.abs(value))
+            else:
+                # abs(), not a numpy reduction: levy's many short profile
+                # integrals would pay for one at every level
+                err, size = abs(value - prev), abs(value)
+            if err <= rel_tol * max(size, 1e-300):
+                break
+        prev = value
+    return value, err
 
 
 def log_radial_grid(r_min: float, r_max: float, points_per_decade: int = 64) -> RadialGrid:
@@ -113,7 +142,7 @@ def log_radial_grid(r_min: float, r_max: float, points_per_decade: int = 64) -> 
     nodes, weights = [], []
     for lo, hi in panels:
         n = max(8, int(math.ceil(math.log10(hi / lo) * points_per_decade)) + 1)
-        r, w = _log_panel_nodes(lo, hi, n)
+        r, w = _simpson_rule(lo, hi, n, log=True)
         nodes.append(r)
         weights.append(w)
     r = np.concatenate(nodes)
@@ -144,9 +173,9 @@ def radial_integral(
 ):
     """Adaptive quadrature of ``g`` over (grid.r_min, grid.r_max).
 
-    Refines a log-spaced trapezoid rule (split at r = 1) by node doubling
-    until the successive-refinement delta drops below ``rel_tol`` relative
-    or the doubling budget is exhausted.  Returns the value, or
+    Refines composite Simpson in u = log r (split at r = 1) by node
+    doubling until the successive-refinement delta drops below ``rel_tol``
+    relative or the doubling budget is exhausted.  Returns the value, or
     ``(value, error_estimate)`` with ``full_output=True``.
     """
     base = max(8, (len(grid.nodes) - 1) // 2)
@@ -156,22 +185,15 @@ def radial_integral(
         if grid.r_min < 1.0 < grid.r_max
         else [(grid.r_min, grid.r_max)]
     )
-    prev = None
-    err = np.inf
-    value = 0.0
-    for level in range(max_doublings + 1):
+
+    def estimate(level):
         total = 0.0
         for lo, hi in panels:
-            n = base * 2**level + 1
-            r, w = _log_panel_nodes(lo, hi, n)
+            r, w = _simpson_rule(lo, hi, base * 2**level + 1, log=True)
             total += float(np.dot(w, _eval_integrand(g, r)))
-        if prev is not None:
-            err = abs(total - prev)
-            value = total
-            if err <= rel_tol * max(abs(total), 1e-300):
-                break
-        prev = total
-        value = total
+        return total
+
+    value, err = _refine(estimate, max_doublings + 1, rel_tol)
     if full_output:
         return value, err
     return value
@@ -347,29 +369,17 @@ def time_integral(
                 f"probes up to t = {horizon:.3g} (hint was {decay_rate_hint:.3g})"
             )
     t0 = 1e-4
-    f0 = np.asarray(fn(0.0), dtype=float)
-    prev = None
-    value = None
-    for level in range(max_doublings + 1):
-        n = 48 * 2**level + 1
-        t, w = _time_nodes(t0, horizon, n)
+    head = 0.5 * t0 * (np.asarray(fn(0.0), dtype=float) + np.asarray(fn(t0), dtype=float))
+
+    def estimate(level):
+        t, w = _time_nodes(t0, horizon, 48 * 2**level + 1)
         if vectorized:
-            vals = np.asarray(fn(t), dtype=float)
-            total = np.tensordot(w, vals, axes=(0, 0))
-            head = 0.5 * t0 * (f0 + np.asarray(fn(t0), dtype=float))
+            total = np.tensordot(w, np.asarray(fn(t), dtype=float), axes=(0, 0))
         else:
-            vals = np.array([fn(float(ti)) for ti in t], dtype=float)
-            total = float(np.dot(w, vals))
-            head = 0.5 * t0 * (f0 + fn(t0))
-        total = total + head
-        if prev is not None:
-            delta = np.max(np.abs(total - prev))
-            value = total
-            if delta <= rel_tol * max(np.max(np.abs(total)), 1e-300):
-                break
-        prev = total
-        value = total
-    return value
+            total = float(np.dot(w, np.array([fn(float(ti)) for ti in t], dtype=float)))
+        return total + head
+
+    return _refine(estimate, max_doublings + 1, rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

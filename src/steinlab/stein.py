@@ -44,7 +44,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw, c_alpha_d, cauchy_c, convert_representation
-from .numerics import TestFunction, _ray_points
+from .numerics import TestFunction, _ray_points, _simpson_rule
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
 __all__ = [
@@ -396,13 +396,7 @@ def _rho_rule(h: TestFunction, budget: int):
     g1 = float(np.real(h.radial_fourier(np.array([1.0]))[0]))
     a = 0.25 / max(math.log(max(g0, 1e-300) / max(g1, 1e-300)), 1e-6)
     rho_max = math.sqrt(max(4.0 * a * 42.0, 1.0))
-    n = 512 * budget + 1
-    rho = np.linspace(0.0, rho_max, n)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (rho[1] - rho[0]) / 3.0
-    return rho, w
+    return _simpson_rule(0.0, rho_max, 512 * budget + 1)
 
 
 def _phi_ratio(alpha: float, rho, t):
@@ -484,15 +478,8 @@ def semigroup_apply(
 
 def _time_rule(hint: float, budget: int):
     t0 = 1e-4
-    horizon = math.log(1e10) / hint
-    n = 192 * budget + 1
-    u = np.linspace(math.log(t0), math.log(horizon), n)
-    t = np.exp(u)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (u[1] - u[0]) / 3.0
-    return t, w * t, t0
+    t, w = _simpson_rule(t0, math.log(1e10) / hint, 192 * budget + 1, log=True)
+    return t, w, t0
 
 
 @dataclass

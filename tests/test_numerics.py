@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from steinlab import DecayError, DomainError, EvaluationError
+from steinlab.levy import _log_quad_complex
 from steinlab.numerics import (
     RadialGrid,
+    _refine,
+    _simpson_rule,
     fourier_round_trip_error,
     gamma_fn,
     gauss_jacobi_unit,
@@ -103,6 +106,61 @@ class TestRadialIntegral:
 def _grid_pair(a, b):
     g = log_radial_grid(a, b)
     return g.nodes, g.weights
+
+
+class TestSimpsonRule:
+    def test_cubic_exact_on_linear_grid(self):
+        x, w = _simpson_rule(-1.0, 2.0, 9)
+        val = np.dot(w, x**3 - 2.0 * x**2 + x - 5.0)
+        assert abs(val - (-15.75)) <= 1e-14 * 15.75
+
+    def test_log_grid_exact_for_cubic_in_log(self):
+        # int (log r)^3 / r dr = (log r)^4 / 4, a cubic in u = log r
+        r, w = _simpson_rule(math.exp(-2.0), math.exp(3.0), 11, log=True)
+        val = np.dot(w, np.log(r) ** 3 / r)
+        assert val == pytest.approx((81.0 - 16.0) / 4.0, rel=1e-13)
+
+    def test_even_n_rounds_up_and_keeps_endpoints(self):
+        x, w = _simpson_rule(0.5, 3.0, 10)
+        assert x.shape == w.shape == (11,)
+        assert x[0] == 0.5 and x[-1] == 3.0
+        r, w = _simpson_rule(0.5, 3.0, 10, log=True)
+        assert r.shape == w.shape == (11,)
+        assert r[0] == pytest.approx(0.5, rel=1e-15)
+        assert r[-1] == pytest.approx(3.0, rel=1e-15)
+
+
+class TestRefine:
+    def test_log_quad_complex_matches_closed_form(self):
+        lo, hi = 0.5, 8.0
+        val = _log_quad_complex(lo, hi, 1.0 / 48.0, lambda r: np.exp(1j * r))
+        exact = (np.exp(1j * hi) - np.exp(1j * lo)) / 1j
+        assert abs(val - exact) <= 1e-9 * abs(exact)
+
+    def test_radial_integral_returns_last_level_when_unconverged(self):
+        # 33 grid nodes give a base of 16 intervals: levels of 17, 33, 65 nodes
+        grid = RadialGrid(np.geomspace(2.0, 50.0, 33), np.ones(33), r_min=2.0, r_max=50.0)
+        g = lambda r: np.sin(r) * np.exp(-0.1 * r)
+        levels = []
+        for n in (17, 33, 65):
+            r, w = _simpson_rule(2.0, 50.0, n, log=True)
+            levels.append(float(np.dot(w, g(r))))
+        val, err = radial_integral(g, grid, rel_tol=0.0, max_doublings=2, full_output=True)
+        assert val == levels[2]
+        assert err == abs(levels[2] - levels[1])
+
+    def test_stops_at_first_agreeing_level(self):
+        seen = []
+
+        def estimate(level):
+            seen.append(level)
+            return np.array([1.0, 2.0]) + 10.0 ** -(3 * level)
+
+        # levels 2 and 3 differ by about 1e-6 <= 1e-5 * max|value|
+        val, err = _refine(estimate, 8, 1e-5)
+        assert seen == [0, 1, 2, 3]
+        assert err == pytest.approx(1e-6 - 1e-9, rel=1e-6)
+        np.testing.assert_array_equal(val, np.array([1.0, 2.0]) + 1e-9)
 
 
 class TestSphericalGrids:
