@@ -10,13 +10,15 @@ whose distance from zero (in standard errors) is the test statistic.
 The semigroup path uses the radial frequency representation: for h with
 a radial transform profile G(rho) centered at c,
 
-    P_t h(x) = (2pi)^-d int_0^inf G(rho) A_d(rho |y|) Phi_t(rho) rho^{d-1} drho,
+    P_t h(x) = Phi_t(|y|)
+             = (2pi)^-d int_0^inf G(rho) A_d(rho |y|) chi_t(rho) rho^{d-1} drho,
 
-with y = e^{-t} x - c, A_d the spherical phase average, and Phi_t the
+with y = e^{-t} x - c, A_d the spherical phase average, and chi_t the
 characteristic-function ratio of the interpolating family.  Solutions of
-the Stein equation are time integrals of this kernel, tabulated on a
-(t, |y|) grid with cubic splines so that downstream quadratures can
-evaluate them densely at negligible cost.
+the Stein equation are time integrals of this kernel.  Each solution keeps
+one table of the profiles Phi_t, as the coefficients of a cubic spline in
+|y| per time node, and reads values and gradients off it in one gathered
+lookup: P_t(grad h)(x) = y Lambda_t(|y|) with Lambda_t(s) = Phi_t'(s) / s.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import jv
+from scipy.special import j0, jv
 
 from ._errors import DomainError, RegimeError, UnsupportedFamilyError
 from .jumps import (
@@ -349,44 +351,23 @@ def _isotropic_alpha(law: IDLaw) -> float:
 
 
 def _kernels(d: int, z):
-    """A_d(z) = int_{S^{d-1}} e^{i z <e, w>} dw  and  B_d(z) = A_d'(z) / z.
+    """A_d(z) = int_{S^{d-1}} e^{i z <e, w>} dw, the spherical phase average.
 
-    Exact closed forms for d <= 3 (cosine, Bessel J0/J1, sinc); the
-    general Bessel-quotient form with series guards otherwise."""
+    Exact closed forms for d <= 3 (cosine, Bessel J0, sinc); the general
+    Bessel-quotient form with a series guard otherwise."""
     z = np.asarray(z, dtype=float)
     if d == 1:
-        return 2.0 * np.cos(z), -2.0 * np.sinc(z / math.pi)
+        return 2.0 * np.cos(z)
     if d == 2:
-        from scipy.special import j0, j1
-
-        a = 2.0 * math.pi * j0(z)
-        zz = z * z
-        small = np.abs(z) < 1e-4
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = np.where(small, 0.5 * (1.0 - zz / 8.0), j1(np.where(small, 1.0, z)) / np.where(small, 1.0, z))
-        return a, -2.0 * math.pi * b
+        return 2.0 * math.pi * j0(z)
     if d == 3:
-        a = 4.0 * math.pi * np.sinc(z / math.pi)
-        zz = z * z
-        small = np.abs(z) < 1e-3
-        zs = np.where(small, 1.0, z)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = np.where(
-                small,
-                (1.0 - zz / 10.0) / 3.0,
-                (np.sin(zs) - zs * np.cos(zs)) / zs**3,
-            )
-        return a, -4.0 * math.pi * b
+        return 4.0 * math.pi * np.sinc(z / math.pi)
     nu = d / 2.0 - 1.0
     pref = (2.0 * math.pi) ** (d / 2.0)
     zz = np.maximum(np.abs(z), 1e-12)
     with np.errstate(invalid="ignore", divide="ignore"):
         a = pref * jv(nu, zz) / zz**nu
-        b = -pref * jv(nu + 1.0, zz) / zz ** (nu + 1.0)
-    small = np.abs(z) < 1e-6
-    a = np.where(small, pref / (2.0**nu * math.gamma(nu + 1.0)), a)
-    b = np.where(small, -pref / (2.0 ** (nu + 1.0) * math.gamma(nu + 2.0)), b)
-    return a, b
+    return np.where(np.abs(z) < 1e-6, pref / (2.0**nu * math.gamma(nu + 1.0)), a)
 
 
 def _rho_rule(h: TestFunction, budget: int):
@@ -399,39 +380,30 @@ def _rho_rule(h: TestFunction, budget: int):
     return _simpson_rule(0.0, rho_max, 512 * budget + 1)
 
 
-def _phi_ratio(alpha: float, rho, t):
-    return np.exp(-np.asarray(rho) ** alpha * (1.0 - math.exp(-alpha * t)) / 2.0)
-
-
 def _pt_tables(h: TestFunction, alpha: float, d: int, t_nodes, s_grid, budget: int = 1):
-    """Phi and Lambda on the (t, s) grid in one pass.
+    """Phi on the (t, s) grid: Phi[i, j] = P_{t_i} h at any x with
+    |e^{-t_i} x - c| = s_j.
 
-    Phi[i, j] = P_{t_i} h at any x with |e^{-t_i} x - c| = s_j, and the
-    gradient's radial factor Lambda with P_t(grad h)(x) = y Lambda_t(|y|).
     The spherical phase kernel depends only on rho * s, so a single
     kernel matrix serves every time node."""
     rho, w = _rho_rule(h, budget)
     gh = np.real(np.asarray(h.radial_fourier(rho), dtype=complex))
-    z = np.outer(np.asarray(s_grid, dtype=float), rho)
-    a_k, b_k = _kernels(d, z)
+    a_k = _kernels(d, np.outer(np.asarray(s_grid, dtype=float), rho))
     pref = (2.0 * math.pi) ** (-d)
     damp = np.exp(-0.5 * np.outer(1.0 - np.exp(-alpha * np.asarray(t_nodes)), rho**alpha))
     base = (gh * rho ** (d - 1) * w)[None, :] * damp  # (n_t, n_rho)
-    phi = pref * (base @ a_k.T)
-    lam = pref * ((base * rho[None, :] ** 2) @ b_k.T)
-    return phi, lam
+    return pref * (base @ a_k.T)
 
 
 def _pt_profile(h: TestFunction, alpha: float, d: int, t: float, s_grid, budget: int = 1):
-    phi, lam = _pt_tables(h, alpha, d, np.array([t]), s_grid, budget)
-    return phi[0], lam[0]
+    return _pt_tables(h, alpha, d, np.array([t]), s_grid, budget)[0]
 
 
 def _mean_h(h: TestFunction, alpha: float, d: int, budget: int = 1) -> float:
     rho, w = _rho_rule(h, budget)
     gh = np.real(np.asarray(h.radial_fourier(rho), dtype=complex))
     c = h.fourier_center if h.fourier_center is not None else np.zeros(d)
-    a_k, _ = _kernels(d, np.linalg.norm(c) * rho)
+    a_k = _kernels(d, np.linalg.norm(c) * rho)
     pref = (2.0 * math.pi) ** (-d)
     return float(pref * np.sum(gh * np.exp(-(rho**alpha) / 2.0) * rho ** (d - 1) * w * a_k))
 
@@ -460,8 +432,7 @@ def semigroup_apply(
             return float(h.evaluate(x))
         c = h.fourier_center if h.fourier_center is not None else np.zeros(d)
         s = np.linalg.norm(math.exp(-t) * x - c)
-        phi, _ = _pt_profile(h, alpha, d, t, np.array([s]), budget)
-        return float(phi[0])
+        return float(_pt_profile(h, alpha, d, t, np.array([s]), budget)[0])
     if mode == "mc":
         if t == 0.0:
             return float(h.evaluate(x)), 0.0
@@ -485,7 +456,12 @@ def _time_rule(hint: float, budget: int):
 @dataclass
 class SteinSolution:
     """Candidate solution f_h of the Stein equation, tabulated on a
-    (t, radial-distance) grid with cubic splines in the radial variable."""
+    (t, radial-distance) grid.
+
+    One table holds the profile Phi_t(s) = P_t h(x) at s = |e^{-t} x - c|
+    for every time node: the coefficients of a cubic spline in s per node,
+    in one (4, n_s - 1, n_t) array.  The gradient reads the same table, as
+    P_t(grad h)(x) = y Lambda_t(|y|) with Lambda_t(s) = Phi_t'(s) / s."""
 
     h: TestFunction
     law: IDLaw
@@ -496,88 +472,90 @@ class SteinSolution:
     t_weights: np.ndarray
     t_head: float
     _s_max: float = 0.0
-    _phi_spline: object = None
-    _lam_spline: object = None
+    _s_grid: Optional[np.ndarray] = None
+    _coef: Optional[np.ndarray] = None
 
     def _ensure_tables(self, s_needed: float):
-        if self._phi_spline is not None and s_needed <= self._s_max:
+        if self._coef is not None and s_needed <= self._s_max:
             return
         s_max = max(80.0, 1.25 * s_needed)
         ds = 0.015 / self.budget
         s_grid = np.linspace(0.0, s_max, int(s_max / ds) + 2)
+        n_t = self.t_nodes.size
         if _is_constant(self.h):
-            # P_t h = h = E h for every t: flat profiles, zero gradient factor
-            phi_rows = np.full((self.t_nodes.size, s_grid.size), self.mean_h)
-            lam_rows = np.zeros_like(phi_rows)
+            # P_t h = h = E h for every t: flat profiles
+            phi_rows = np.full((n_t, s_grid.size), self.mean_h)
         else:
-            phi_rows, lam_rows = _pt_tables(
-                self.h, self.alpha, self.law.dim, self.t_nodes, s_grid, self.budget
-            )
-        # both profiles are even in s, so clamp the slope at the origin
-        bc = ((1, 0.0), "not-a-knot")
-        self._phi_spline = [CubicSpline(s_grid, row, bc_type=bc) for row in phi_rows]
-        self._lam_spline = [CubicSpline(s_grid, row, bc_type=bc) for row in lam_rows]
+            phi_rows = _pt_tables(self.h, self.alpha, self.law.dim, self.t_nodes, s_grid, self.budget)
+        # every profile is even in s, so clamp the slope at the origin
+        bc = ((1, np.zeros(n_t)), "not-a-knot")
+        self._coef = CubicSpline(s_grid, phi_rows, axis=1, bc_type=bc).c
+        self._s_grid = s_grid
         self._s_max = s_max
 
-    def _y_norms(self, pts):
+    def _table(self, s, derivative: bool = False):
+        """Phi_t(s), or Phi_t'(s), with row i of s looked up in row i of the
+        table.  The interval and the sum c3 + c2 dx + c1 dx^2 + c0 dx^3 (for
+        the derivative c2 + 2 c1 dx + 3 c0 dx^2) are those of scipy's PPoly,
+        so the values equal the per-node splines' bit for bit."""
+        grid, coef = self._s_grid, self._coef
+        n_t, last = coef.shape[2], grid.size - 2
+        # the grid is uniform: floor(s / ds) is the interval up to one step
+        j = np.clip(np.floor(s / grid[1]), 0, last).astype(np.intp)
+        j -= s < grid[j]
+        j += (j < last) & (s >= grid[j + 1])
+        dx = s - grid[j]
+        j *= n_t
+        j += np.arange(n_t)[:, None]
+        top = 2 if derivative else 3
+        out = np.take(coef[top], j)
+        power = np.ones_like(dx)
+        for k in range(top - 1, -1, -1):
+            power *= dx
+            term = np.take(coef[k], j)
+            if derivative:
+                term *= 3 - k
+            term *= power
+            out += term
+        return out
+
+    def _radii(self, pts):
+        """y = e^{-t} x - c at every time node and s = |y|, with the table
+        grown to cover s."""
         c = self.h.fourier_center if self.h.fourier_center is not None else np.zeros(self.law.dim)
-        damp = np.exp(-self.t_nodes)
-        y = damp[:, None, None] * pts[None, :, :] - c[None, None, :]
-        return y, np.linalg.norm(y, axis=2)
+        y = np.exp(-self.t_nodes)[:, None, None] * pts[None, :, :] - c[None, None, :]
+        s = np.linalg.norm(y, axis=2)
+        self._ensure_tables(float(np.max(s)))
+        return y, s
 
     def evaluate(self, x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        single = np.asarray(x).ndim == 1
-        y, s = self._y_norms(pts)
-        self._ensure_tables(float(np.max(s)))
-        vals = np.empty_like(s)
-        for i in range(self.t_nodes.size):
-            vals[i] = self._phi_spline[i](s[i])
-        integrand = vals - self.mean_h
+        integrand = self._table(self._radii(pts)[1]) - self.mean_h
         body = self.t_weights @ integrand
         h0 = np.asarray(self.h.evaluate(pts), dtype=float) - self.mean_h
         head = 0.5 * self.t_head * (h0 + integrand[0])
         out = -(body + head)
-        return float(out[0]) if single else out
-
-    def gradient(self, x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        single = np.asarray(x).ndim == 1
-        y, s = self._y_norms(pts)
-        self._ensure_tables(float(np.max(s)))
-        damp = np.exp(-self.t_nodes)
-        body = np.zeros(pts.shape)
-        for i in range(self.t_nodes.size):
-            lam = self._lam_spline[i](s[i])
-            body += self.t_weights[i] * damp[i] * y[i] * lam[:, None]
-        g0 = np.asarray(self.h.gradient(pts), dtype=float)
-        lam0 = self._lam_spline[0](s[0])
-        grad0 = damp[0] * y[0] * lam0[:, None]
-        head = 0.5 * self.t_head * (g0 + grad0)
-        out = -(body + head)
-        return out[0] if single else out
+        return float(out[0]) if np.ndim(x) == 1 else out
 
     def gradient_consistent(self, x):
         """Gradient of the tabulated surface itself (exact derivative of
-        ``evaluate``).  The compensated jump quadrature must use this one:
-        it cancels the interpolation error of ``evaluate`` at small radii,
-        which the commutation-formula gradient cannot."""
+        ``evaluate``), read off the one table as y Lambda_t(|y|) with
+        Lambda_t = Phi_t' / s.  The compensated jump quadrature needs this
+        exactness: it cancels the interpolation error of ``evaluate`` at
+        small radii.  ``gradient`` is the same function."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        single = np.asarray(x).ndim == 1
-        y, s = self._y_norms(pts)
-        self._ensure_tables(float(np.max(s)))
+        y, s = self._radii(pts)
+        lam = self._table(s, derivative=True) / np.where(s > 1e-12, s, 1.0)
         damp = np.exp(-self.t_nodes)
         body = np.zeros(pts.shape)
-        safe = lambda sv: np.where(sv > 1e-12, sv, 1.0)
         for i in range(self.t_nodes.size):
-            dphi = self._phi_spline[i].derivative()(s[i])
-            body += self.t_weights[i] * damp[i] * (dphi / safe(s[i]))[:, None] * y[i]
+            body += self.t_weights[i] * damp[i] * lam[i][:, None] * y[i]
         g0 = np.asarray(self.h.gradient(pts), dtype=float)
-        dphi0 = self._phi_spline[0].derivative()(s[0])
-        grad0 = damp[0] * (dphi0 / safe(s[0]))[:, None] * y[0]
-        head = 0.5 * self.t_head * (g0 + grad0)
+        head = 0.5 * self.t_head * (g0 + damp[0] * lam[0][:, None] * y[0])
         out = -(body + head)
-        return out[0] if single else out
+        return out[0] if np.ndim(x) == 1 else out
+
+    gradient = gradient_consistent
 
     def sup_gradient_norm(self, points) -> float:
         g = self.gradient(points)
@@ -588,18 +566,12 @@ class SteinSolution:
         over the grid and coordinate directions, a proxy for the operator
         norm bound on the Hessian."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        worst = 0.0
-        for j in range(pts.shape[1]):
-            e = np.zeros(pts.shape[1])
-            e[j] = step
-            sec = (self.evaluate(pts + e) - 2.0 * self.evaluate(pts) + self.evaluate(pts - e)) / step**2
-            worst = max(worst, float(np.max(np.abs(sec))))
-        # diagonal direction catches off-diagonal curvature
-        if pts.shape[1] > 1:
-            e = np.full(pts.shape[1], step / math.sqrt(pts.shape[1]))
-            sec = (self.evaluate(pts + e) - 2.0 * self.evaluate(pts) + self.evaluate(pts - e)) / step**2
-            worst = max(worst, float(np.max(np.abs(sec))))
-        return worst
+        d = pts.shape[1]
+        # the diagonal direction catches off-diagonal curvature
+        directions = list(step * np.eye(d)) + ([np.full(d, step / math.sqrt(d))] if d > 1 else [])
+        centre = 2.0 * self.evaluate(pts)
+        sec = [(self.evaluate(pts + e) - centre + self.evaluate(pts - e)) / step**2 for e in directions]
+        return max([0.0] + [float(np.max(np.abs(v))) for v in sec])
 
 
 def stein_solve(law: IDLaw, h: TestFunction, budget: int = 1) -> SteinSolution:

@@ -3,7 +3,8 @@ import pytest
 
 from steinlab import DomainError
 from steinlab.metrics import dwr_lower_bound, ergodicity_probe, export_probe_csv
-from steinlab.sampling import sample_isotropic_stable
+from steinlab.numerics import normalized_bumps
+from steinlab.sampling import make_rng, sample_isotropic_stable, sample_residual_law
 
 
 class TestDistanceLowerBound:
@@ -70,6 +71,17 @@ class TestErgodicityProbe:
         f1 = ergodicity_probe(1.5, 1, [0.25, 0.5, 1.0, 2.0, 3.0], 50_000, seed=13)
         f2 = ergodicity_probe(1.5, 1, [0.25, 0.5, 1.0, 2.0, 3.0], 100_000, seed=13)
         assert abs(f1.slope - f2.slope) <= 0.2 * abs(f2.slope)
+
+    def test_distances_are_dwr_lower_bounds(self):
+        # the probe takes the target means once; each distance stays the
+        # order-1 lower bound between the target and the time-t member
+        alpha, d, n, seed, t_grid = 1.5, 1, 20_000, 15, [0.5, 1.0, 2.0]
+        fit = ergodicity_probe(alpha, d, t_grid, n, seed)
+        target = sample_isotropic_stable(alpha, d, n, seed)
+        family = normalized_bumps(d, 1, 24, make_rng(seed, stream=11))
+        for t, dist in zip(t_grid, fit.distances):
+            member = sample_residual_law(alpha, d, t, None, n, seed)
+            assert dist == dwr_lower_bound(target, member, 1, family=family).value
 
     def test_csv_export(self, tmp_path):
         fit = ergodicity_probe(1.5, 1, [0.5, 1.0], 20_000, seed=14)

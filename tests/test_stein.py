@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from steinlab import DomainError, RegimeError, UnsupportedFamilyError
 from steinlab.levy import (
@@ -14,6 +15,7 @@ from steinlab.levy import (
 from steinlab.numerics import TestFunction, constant_fn, gaussian_bump, sphere_from_atoms
 from steinlab.sampling import mc_expectation, sample_isotropic_stable
 from steinlab.stein import (
+    SteinSolution,
     _mean_h,
     _pt_profile,
     generator_apply,
@@ -249,7 +251,7 @@ class TestSemigroup:
         batch = sample_isotropic_stable(1.5, 1, 300_000, seed=15)
         s = np.abs(math.exp(-t) * batch.points[:, 0])
         grid = np.linspace(0.0, float(s.max()) + 1.0, 4000)
-        phi, _ = _pt_profile(h, 1.5, 1, t, grid)
+        phi = _pt_profile(h, 1.5, 1, t, grid)
         lhs = np.interp(s, grid, phi).mean()
         est = mc_expectation(lambda p: h.evaluate(p), batch)
         assert abs(lhs - float(est.value)) <= 4.0 * float(est.std_error)
@@ -275,10 +277,18 @@ class TestSemigroup:
         pts = math.exp(-s) * x[0] + inner.points[:, 0]
         sg = np.abs(math.exp(-t) * pts)  # P_t h(y) = Phi_t(|e^-t y - c|)
         grid = np.linspace(0.0, float(sg.max()) + 1.0, 4000)
-        phi, _ = _pt_profile(h, 1.5, 1, t, grid)
+        phi = _pt_profile(h, 1.5, 1, t, grid)
         outer = np.interp(sg, grid, phi).mean()
         direct = semigroup_apply(law, h, s + t, x)
         assert outer == pytest.approx(direct, abs=2.5e-3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_profile_at_time_zero_is_h(self, d):
+        # P_0 h = h: covers every branch of the spherical kernel A_d
+        h = gaussian_bump(d, a=1.0)
+        grid = np.linspace(0.0, 6.0, 25)
+        ray = grid[:, None] * np.eye(d)[0]
+        assert np.max(np.abs(_pt_profile(h, 1.5, d, 0.0, grid) - h.evaluate(ray))) <= 1e-7
 
 
 class TestSteinSolver:
@@ -350,3 +360,35 @@ class TestSteinSolver:
             ]
         )
         assert np.allclose(sol.gradient(x), fd, rtol=5e-4, atol=5e-6)
+
+
+class TestSteinTable:
+    def test_lookup_matches_per_row_splines(self, monkeypatch):
+        # random profiles, through the solution's own table build and lookup
+        rng = np.random.default_rng(5)
+        made = {}
+
+        def random_rows(h, alpha, d, t_nodes, s_grid, budget):
+            made["phi"] = rng.normal(size=(t_nodes.size, s_grid.size))
+            return made["phi"]
+
+        monkeypatch.setattr("steinlab.stein._pt_tables", random_rows)
+        tf = gaussian_bump(1, a=1.0)
+        sol = stein_solve(isotropic_stable_law(1.5, 1), tf.scaled(1.0 / max(tf.m_bounds)))
+        sol._ensure_tables(10.0)
+        grid, n_t = sol._s_grid, sol.t_nodes.size
+        # floor(s / ds) lands one interval off at some knots (3 ds) and just
+        # below others (65 ds); the first 400 knots hold both kinds
+        knots = np.concatenate([grid[1:400], grid[-3:-1]])
+        fixed = np.concatenate([[0.0, grid[-1]], knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
+        between = rng.uniform(0.0, grid[-1], size=(n_t, 40))
+        s = np.concatenate([np.broadcast_to(fixed, (n_t, fixed.size)), between], axis=1)
+        value, slope = sol._table(s), sol._table(s, derivative=True)
+        for i, row in enumerate(made["phi"]):
+            spline = CubicSpline(grid, row, bc_type=((1, 0.0), "not-a-knot"))
+            assert np.array_equal(sol._coef[:, :, i], spline.c)
+            assert np.array_equal(value[i], spline(s[i]))
+            assert np.array_equal(slope[i], spline.derivative()(s[i]))
+
+    def test_gradient_is_gradient_consistent(self):
+        assert SteinSolution.gradient is SteinSolution.gradient_consistent
