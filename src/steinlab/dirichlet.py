@@ -373,35 +373,6 @@ def rate_numerator_limit(alpha: float, d: int, j: int = 0) -> float:
     return omega * _radial_rate_quad(alpha, d, fn) / (2.0 * math.pi) ** d
 
 
-def _m_alpha(xi, zeta, j, alpha):
-    """Second mixed derivative kernel of the energy's frequency form."""
-    nx = np.linalg.norm(xi, axis=-1)
-    nz = np.linalg.norm(zeta, axis=-1)
-    w = xi + zeta
-    nw = np.linalg.norm(w, axis=-1)
-    nw_safe = np.where(nw > 0, nw, 1.0)
-    nx_safe = np.where(nx > 0, nx, 1.0)
-    S = nx**alpha + nz**alpha - nw**alpha
-    wj = w[..., j]
-    xj = xi[..., j]
-    first = (
-        -(alpha / 2.0) * wj * nw_safe ** (alpha - 2.0) * S
-        + alpha * (xj * nx_safe ** (alpha - 2.0) - wj * nw_safe ** (alpha - 2.0))
-    )
-    second = (
-        -(alpha / 2.0) * nw_safe ** (alpha - 2.0) * S
-        - (alpha / 2.0) * (alpha - 2.0) * wj**2 * nw_safe ** (alpha - 4.0) * S
-        - alpha * nw_safe ** (alpha - 2.0)
-        - alpha * (alpha - 2.0) * wj**2 * nw_safe ** (alpha - 4.0)
-    )
-    return first * (-(alpha / 2.0) * wj * nw_safe ** (alpha - 2.0)) + second
-
-
-def _psi_transform(d):
-    # transform of exp(-|x|^2)
-    return lambda rho: math.pi ** (d / 2.0) * np.exp(-np.asarray(rho) ** 2 / 4.0)
-
-
 def _sphere_rule(d: int, n: int):
     """Directions/weights integrating over the unit sphere (exact mass)."""
     if d == 1:
@@ -415,30 +386,63 @@ def _sphere_rule(d: int, n: int):
 def rate_denominator(alpha: float, d: int, R: float, j: int = 0) -> float:
     """E Gamma(g_{R,j}, g_{R,j}) by the exact double frequency integral.
 
-    In the sum/difference coordinates w = xi + zeta, v = (xi - zeta)/2 the
-    Gaussian transforms separate and the kernel's singular set becomes the
-    origin of the w polar grid."""
+    The kernel is d_{xi_j} d_{zeta_j}[phi(w) S] / phi(w) with w = xi + zeta,
+    S = |xi|^alpha + |zeta|^alpha - |w|^alpha and
+    P = -(alpha/2) |w|^(alpha-2) w_j; it has five terms,
+
+        P^2 S + P (d_{xi_j} S + d_{zeta_j} S) + (d_{w_j} P) S + d_{xi_j} d_{zeta_j} S,
+
+    and is symmetric under xi <-> zeta.  In the sum/difference coordinates
+    w = xi + zeta, v = (xi - zeta)/2 the Gaussian transforms separate and
+    the kernel's singular set becomes the origin of the w polar grid.
+
+    On the equispaced direction rule, |xi| and |zeta| depend on the two
+    directions only through their relative angle psi, and |zeta| at psi is
+    |xi| at psi + pi.  So the powers are taken once per (psi, |v|, |w|),
+    and P, d_{w_j} P and d_{xi_j} d_{zeta_j} S once per w-direction and |w|.
+    For w-direction a the sum over v-directions is a product of an (n, n)
+    weight matrix with the psi-arrays: W[a, psi] + W[a, psi + pi], where
+    W[a, psi] = w_{(a + psi) mod n} and the second term carries the zeta
+    side, or its e_j-weighted twin with a minus sign.  One contraction
+    against the Gaussian weights then gives the integral, with no loop
+    over direction pairs."""
     if not (1.0 < alpha < 2.0):
         raise DomainError("the rate integrals need alpha in (1, 2)")
     if d > 2:
         raise UnsupportedFamilyError("rate_denominator implemented for d in {1, 2}")
     rho_w, w_w = _simpson_rule(1e-5, 28.0, 401, log=True)
     rho_v, w_v = _simpson_rule(0.0, 14.0, 65 if d == 2 else 385)
-    dirs_w, wdirs_w = _sphere_rule(d, 33)
-    dirs_v, wdirs_v = _sphere_rule(d, 33)
+    dirs, wdirs = _sphere_rule(d, 33)
+    n, mass = len(wdirs), float(wdirs.sum())
     pref = math.pi**d / (2.0 * math.pi) ** (2 * d)
-    wv, ww = np.meshgrid(rho_v, rho_w, indexing="ij")
-    gauss = np.exp(-(wv**2) / 2.0 - (ww**2) / 8.0 - (ww**alpha) / (2.0 * R**alpha))
-    weight = np.outer(w_v * rho_v ** (d - 1), w_w * rho_w ** (d - 1))
-    total = 0.0
-    for w_dir, wtw in zip(dirs_w, wdirs_w):
-        for v_dir, wtv in zip(dirs_v, wdirs_v):
-            v_vec = wv[..., None] * v_dir
-            w_vec = ww[..., None] * w_dir
-            xi = (v_vec + 0.5 * w_vec) / R
-            zeta = (-v_vec + 0.5 * w_vec) / R
-            m = _m_alpha(xi, zeta, j, alpha)
-            total += wtw * wtv * float(np.sum(gauss * weight * m))
+    gauss = np.exp(-(rho_v[:, None] ** 2) / 2.0 - (rho_w**2) / 8.0 - (rho_w**alpha) / (2.0 * R**alpha))
+    gauss *= np.outer(w_v * rho_v ** (d - 1), w_w * rho_w ** (d - 1))
+    v, w = rho_v[:, None] / R, rho_w / R
+    # |xi|^2 at relative angle psi_k, where (cos psi_k, sin psi_k) = dirs[k];
+    # a sum of squares, so rounding never takes it below zero
+    cos_psi, sin2_psi = dirs[:, 0, None, None], np.sum(dirs[:, 1:] ** 2, axis=1)[:, None, None]
+    q = (w / 2.0 + v * cos_psi) ** 2 + v**2 * sin2_psi
+    xi_a = q ** (alpha / 2.0)
+    # |xi|^(alpha-2), set to 0 at xi = 0, where xi_j |xi|^(alpha-2) -> 0
+    xi_b = xi_a / np.where(q > 0.0, q, 1.0)
+    # w-direction a meets v-direction (a + psi) mod n.  |zeta| at psi is |xi|
+    # at psi + pi, so the zeta side reads the same arrays under the weight
+    # of the opposite v-direction.
+    turn = (np.arange(n)[:, None] + np.arange(n)) % n
+    opposite = (turn + n // 2) % n
+    wdirs_j = wdirs * dirs[:, j]
+    even, odd_j = wdirs[turn] + wdirs[opposite], wdirs_j[turn] - wdirs_j[opposite]
+    e = dirs[:, j, None, None]
+    P = -(alpha / 2.0) * w ** (alpha - 1.0) * e
+    dP = -(alpha / 2.0) * w ** (alpha - 2.0) * (1.0 + (alpha - 2.0) * e**2)
+    sum_S = np.tensordot(even, xi_a, 1) - mass * w**alpha
+    # d_{xi_j} S + d_{zeta_j} S, with xi_j = v e_{v,j} + w e_{w,j} / 2
+    sum_dS = alpha * (
+        v * np.tensordot(odd_j, xi_b, 1) + (w / 2.0) * e * np.tensordot(even, xi_b, 1) - 2.0 * mass * w ** (alpha - 1.0) * e
+    )
+    # d_{xi_j} d_{zeta_j} S = -d_{w_j}^2 |w|^alpha = 2 dP
+    kernel = (P**2 + dP) * sum_S + P * sum_dS + 2.0 * mass * dP
+    total = float(np.sum(np.tensordot(wdirs, kernel, 1) * gauss))
     return float(-(alpha / 4.0) * pref * total)
 
 

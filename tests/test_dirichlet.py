@@ -10,6 +10,7 @@ from steinlab.dirichlet import (
     gamma1,
     gamma2,
     poincare_residual,
+    _sphere_rule,
     rate_denominator,
     rate_denominator_limit,
     rate_numerator,
@@ -18,7 +19,7 @@ from steinlab.dirichlet import (
     u_ratio_curve,
 )
 from steinlab.levy import isotropic_stable_law
-from steinlab.numerics import constant_fn, gaussian_bump, surface_area
+from steinlab.numerics import _simpson_rule, constant_fn, gaussian_bump, surface_area
 
 
 def closed_rate_limit(alpha, d):
@@ -34,6 +35,67 @@ def closed_rate_limit(alpha, d):
         * 8 ** (s / 2)
         * math.gamma(s / 2)
     )
+
+
+def energy_kernel(xi, zeta, j, alpha):
+    """d_{xi_j} d_{zeta_j}[phi(w) S] / phi(w), pointwise, all five terms."""
+    nx = np.linalg.norm(xi, axis=-1)
+    nz = np.linalg.norm(zeta, axis=-1)
+    w = xi + zeta
+    nw = np.linalg.norm(w, axis=-1)
+    S = nx**alpha + nz**alpha - nw**alpha
+    P = -(alpha / 2) * nw ** (alpha - 2) * w[..., j]
+    dP = -(alpha / 2) * nw ** (alpha - 2) - (alpha / 2) * (alpha - 2) * w[..., j] ** 2 * nw ** (alpha - 4)
+    # xi_j |xi|^(a-2) -> 0 at xi = 0, which a grid corner can hit exactly
+    dS_xi = alpha * (xi[..., j] * np.where(nx > 0, nx, 1.0) ** (alpha - 2) - w[..., j] * nw ** (alpha - 2))
+    dS_zeta = alpha * (zeta[..., j] * np.where(nz > 0, nz, 1.0) ** (alpha - 2) - w[..., j] * nw ** (alpha - 2))
+    dS_xi_zeta = -alpha * nw ** (alpha - 2) - alpha * (alpha - 2) * w[..., j] ** 2 * nw ** (alpha - 4)
+    return P**2 * S + P * (dS_xi + dS_zeta) + dP * S + dS_xi_zeta
+
+
+def denominator_by_pairs(alpha, d, R, j=0):
+    """rate_denominator's integral on its grids, one direction pair at a time."""
+    rho_w, w_w = _simpson_rule(1e-5, 28.0, 401, log=True)
+    rho_v, w_v = _simpson_rule(0.0, 14.0, 65 if d == 2 else 385)
+    dirs, wdirs = _sphere_rule(d, 33)
+    rv, rw = np.meshgrid(rho_v, rho_w, indexing="ij")
+    gauss = np.exp(-(rv**2) / 2 - rw**2 / 8 - rw**alpha / (2 * R**alpha))
+    gauss *= np.outer(w_v * rho_v ** (d - 1), w_w * rho_w ** (d - 1))
+    total = 0.0
+    for w_dir, wt_w in zip(dirs, wdirs):
+        for v_dir, wt_v in zip(dirs, wdirs):
+            xi = (rv[..., None] * v_dir + 0.5 * rw[..., None] * w_dir) / R
+            zeta = (-rv[..., None] * v_dir + 0.5 * rw[..., None] * w_dir) / R
+            total += wt_w * wt_v * float(np.sum(gauss * energy_kernel(xi, zeta, j, alpha)))
+    return -(alpha / 4) * math.pi**d / (2 * math.pi) ** (2 * d) * total
+
+
+def fourier_energy_d1(alpha, R, n=2001):
+    """E int (g(X+u) - g(X))^2 nu(du) for g = x exp(-x^2/R^2) in d = 1:
+    (2 pi)^-2 iint F(xi) conj F(zeta) phi(xi - zeta) [psi(xi - zeta) - psi(xi) - psi(zeta)]
+    on a uniform grid over +-12/R, with F(xi) = -i (sqrt(pi) R^3 xi / 2) exp(-R^2 xi^2 / 4)
+    and psi = -|xi|^alpha / 2."""
+    x = np.linspace(-12.0 / R, 12.0 / R, n)
+    h = x[1] - x[0]
+    f = (math.sqrt(math.pi) * R**3 / 2.0) * x * np.exp(-((R * x) ** 2) / 4.0)
+    p = np.abs(x) ** alpha
+    total = 0.0
+    for rows in np.array_split(np.arange(n), 8):
+        diff = np.abs(x[rows, None] - x) ** alpha
+        total += f[rows] @ (np.exp(-0.5 * diff) * 0.5 * (p[rows, None] + p - diff)) @ f
+    return total * h * h / (2.0 * math.pi) ** 2
+
+
+def gaussian_gradient_energy(d, R, n=40):
+    """E |grad g|^2 for g = x_0 exp(-|x|^2/R^2) and X ~ N(0, I), the alpha = 2
+    energy, by tensor Gauss-Hermite quadrature."""
+    t, wt = np.polynomial.hermite_e.hermegauss(n)
+    X = np.stack(np.meshgrid(*[t] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    weight = np.prod(np.stack(np.meshgrid(*[wt / math.sqrt(2 * math.pi)] * d, indexing="ij"), axis=-1), axis=-1)
+    damp = np.exp(-np.sum(X**2, axis=1) / R**2)
+    grad = -2.0 * X[:, :1] * X / R**2 * damp[:, None]
+    grad[:, 0] += damp
+    return float(weight.reshape(-1) @ np.sum(grad**2, axis=1))
 
 
 class TestGamma1:
@@ -219,6 +281,36 @@ class TestRateIntegrals:
     def test_domain(self):
         with pytest.raises(DomainError):
             rate_numerator(0.7, 2, 8.0)
+
+
+class TestRateDenominator:
+    @pytest.mark.parametrize("R", [4.0, 64.0])
+    def test_d1_matches_pair_loop(self, R):
+        assert rate_denominator(1.5, 1, R) == pytest.approx(denominator_by_pairs(1.5, 1, R), rel=1e-12)
+
+    def test_d2_matches_pair_loop(self):
+        assert rate_denominator(1.5, 2, 16.0, 1) == pytest.approx(denominator_by_pairs(1.5, 2, 16.0, 1), rel=1e-12)
+
+    def test_d2_coordinate_independent(self):
+        # the 32-direction rule is invariant under a quarter turn
+        assert rate_denominator(1.5, 2, 16.0, 0) == pytest.approx(rate_denominator(1.5, 2, 16.0, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    @pytest.mark.parametrize("R", [4.0, 16.0])
+    def test_d1_fourier_oracle(self, alpha, R):
+        # the grid gives 0.748486, 1.773102 (alpha 1.5) and 0.745214,
+        # 1.101942 (alpha 1.9); a kernel without P d_zeta S reads +0.85% to +11.5%
+        oracle = fourier_energy_d1(alpha, R)
+        assert (2.0 / alpha) * rate_denominator(alpha, 1, R) == pytest.approx(oracle, rel=5e-3)
+
+    @pytest.mark.parametrize("d, grad_energy", [(1, 0.742375), (2, 0.672)])
+    def test_gaussian_endpoint(self, d, grad_energy):
+        # at alpha = 2 the law is N(0, I): E g^2 = (1 + 4/R^2)^(-d/2-1) and
+        # the energy is E |grad g|^2
+        alpha, R = 1.999, 4.0
+        assert gaussian_gradient_energy(d, R) == pytest.approx(grad_energy, rel=1e-6)
+        assert rate_numerator(alpha, d, R) == pytest.approx((1.0 + 4.0 / R**2) ** (-d / 2 - 1), rel=1e-3)
+        assert (2.0 / alpha) * rate_denominator(alpha, d, R) == pytest.approx(grad_energy, rel=1e-3)
 
 
 class TestRatioCurve:
