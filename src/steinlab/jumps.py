@@ -6,7 +6,9 @@ an integral of the form
     sum_j w_j int_0^inf  g(z, r, x_j)  rho(r) dr,
 
 where rho is the radial density of the Lévy measure (k(r)/r) or of its
-derived measure (-k'(r)).  The integrands vanish fast enough at the
+derived measure (-k'(r)), taken from ``levy`` together with its decay
+horizon and tail moments, so the jump rules and the Fourier profiles
+read the same formulas.  The integrands vanish fast enough at the
 origin that a Gauss-Jacobi rule with the singular weight folded in is
 spectrally accurate on (0, 1]; the big-jump side uses log-spaced
 Gauss-Legendre panels up to a cutoff past the test function's reach,
@@ -33,73 +35,18 @@ every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._errors import DomainError, UnsupportedFamilyError
+from ._errors import DomainError
+from .levy import RadialDensity, _tail_moment, density_nu, density_tilde
 from .numerics import SphericalGrid, TestFunction, gauss_jacobi_unit, uniform_sphere
 from .sampling import CHUNK  # noqa: F401  (the chunk size the engines are sized for)
 
 __all__ = ["RadialDensity", "density_nu", "density_tilde", "quad_sphere_for"]
 
 BLOCK = 16384  # values (rows x radial nodes) an increment covers at a time
-
-
-@dataclass(frozen=True)
-class RadialDensity:
-    """Radial density rho(r) = amp * r^-p * extra(r), with extra smooth,
-    positive, extra(0) = 1, and either identically 1 (pure power) or
-    exponentially decaying."""
-
-    amp: float
-    p: float
-    extra: object          # None for a pure power law, else callable
-    horizon: float         # radius beyond which extra is negligible (inf for power)
-
-    def rho(self, r):
-        base = self.amp * np.asarray(r, dtype=float) ** -self.p
-        if self.extra is not None:
-            base = base * self.extra(r)
-        return base
-
-    def tail_mass(self, R: float) -> float:
-        """int_R^inf rho dr (0 beyond the decay horizon)."""
-        return _tail_moment(self, R, 0)
-
-
-def density_nu(kf) -> RadialDensity:
-    """k(r)/r as a RadialDensity."""
-    if kf.family == "stable":
-        return RadialDensity(kf.c, kf.alpha + 1.0, None, math.inf)
-    if kf.family == "tempered":
-        lam = kf.lam
-        return RadialDensity(
-            kf.c, kf.alpha + 1.0, lambda r: np.exp(-lam * np.asarray(r)), 50.0 / lam
-        )
-    if kf.family == "gamma":
-        lam = kf.lam
-        return RadialDensity(kf.c, 1.0, lambda r: np.exp(-lam * np.asarray(r)), 50.0 / lam)
-    raise UnsupportedFamilyError("jump quadrature requires a built-in radial family")
-
-
-def density_tilde(kf) -> RadialDensity:
-    """-k'(r) as a RadialDensity."""
-    if kf.family == "stable":
-        return RadialDensity(kf.alpha * kf.c, kf.alpha + 1.0, None, math.inf)
-    if kf.family == "tempered":
-        a, lam = kf.alpha, kf.lam
-        return RadialDensity(
-            a * kf.c,
-            a + 1.0,
-            lambda r: np.exp(-lam * np.asarray(r)) * (a + lam * np.asarray(r)) / a,
-            50.0 / lam,
-        )
-    if kf.family == "gamma":
-        lam = kf.lam
-        return RadialDensity(kf.c * lam, 0.0, lambda r: np.exp(-lam * np.asarray(r)), 50.0 / lam)
-    raise UnsupportedFamilyError("jump quadrature requires a built-in radial family")
 
 
 def quad_sphere_for(law, n_dirs: int = 32) -> SphericalGrid:
@@ -163,19 +110,6 @@ def big_rule(R: float, per_octave: int = 12):
 def small_rule(beta: float, n: int = 16):
     """Nodes/weights with sum W g(r) = int_0^1 g(r) r^beta dr."""
     return gauss_jacobi_unit(n, beta)
-
-
-def _tail_moment(dens: RadialDensity, R: float, power: int) -> float:
-    """int_R^inf r^power rho(r) dr (0 beyond the decay horizon)."""
-    if dens.extra is None:
-        if dens.p <= power + 1.0:
-            raise DomainError("the big-jump tail has no moment of this order")
-        return dens.amp * R ** (power + 1.0 - dens.p) / (dens.p - power - 1.0)
-    if R >= dens.horizon:
-        return 0.0
-    u = np.linspace(math.log(R), math.log(dens.horizon), 801)
-    r = np.exp(u)
-    return float(np.trapezoid(r**power * dens.rho(r) * r, u))
 
 
 def _radial_rule(dens: RadialDensity, R_want: float, vanish: int, power: int, n_small: int, per_octave: int):

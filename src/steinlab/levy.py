@@ -4,22 +4,26 @@ derived measure obtained by radial differentiation of the k-function,
 and the one- and two-frequency symbols of the associated non-local
 operators.
 
-The radial profile integrals all have the shape
+Each built-in k-function has two radial densities, written once in
+``_density``: rho = k(r)/r for the Lévy measure nu and rho = -k'(r) for
+the derived measure nu~, both of the form amp r^-p e^(-lam r) (1 + b r).
+A density carries its derivatives, one decay horizon, and one tail
+moment ``_tail_moment``; the jump quadrature of ``jumps`` uses the same
+densities.  The radial profile integrals all have the shape
 
-    int_0^inf phi(r s) w(r) dr,   s = <direction, xi>,
+    int_0^inf phi(r s) rho(r) dr,   s = <direction, xi>,
 
-with w either k(r)/r (the Lévy measure's radial density) or -k'(r) (the
-derived measure's).  They are evaluated on adaptive log grids with
-cancellation-safe phase functions, an analytic Taylor correction below
-the smallest node, and three-term integration-by-parts tails for the
-oscillatory part; pure power-law profiles are reduced to cached base
-integrals at |s| = 1 through exact scaling.
+and are evaluated on adaptive log grids with cancellation-safe phase
+functions, an analytic Taylor correction below the smallest node, and
+three-term integration-by-parts tails for the oscillatory part; pure
+power-law profiles are reduced to cached base integrals at |s| = 1
+through exact scaling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -129,26 +133,18 @@ class KFunction:
 
     def k(self, r):
         r = np.asarray(r, dtype=float)
-        if self.family == "stable":
-            return self.c * r**-self.alpha
-        if self.family == "tempered":
-            return self.c * r**-self.alpha * np.exp(-self.lam * r)
-        if self.family == "gamma":
-            return self.c * np.exp(-self.lam * r)
+        if self.family != "custom":
+            # r rho_nu(r), as the density one power lower: finite at r = 0
+            nu = _density(self, "nu")
+            return replace(nu, p=nu.p - 1.0).rho(r)
         return np.asarray(self.eval_fn(r), dtype=float)
 
     def dk(self, r):
         """dk/dr (<= 0).  Five-point log-grid differences for custom
         profiles without an analytic derivative."""
         r = np.asarray(r, dtype=float)
-        if self.family == "stable":
-            return -self.alpha * self.c * r ** (-self.alpha - 1.0)
-        if self.family == "tempered":
-            return -self.c * r ** (-self.alpha - 1.0) * np.exp(-self.lam * r) * (
-                self.alpha + self.lam * r
-            )
-        if self.family == "gamma":
-            return -self.c * self.lam * np.exp(-self.lam * r)
+        if self.family != "custom":
+            return -_density(self, "tilde").rho(r)
         if self.deriv_fn is not None:
             return np.asarray(self.deriv_fn(r), dtype=float)
         h = 1e-3  # five-point stencil in log r
@@ -220,12 +216,10 @@ class KFunction:
         """int_1^inf k(r) dr (requires tail integrability)."""
         if not self.tail_integrable:
             raise RegimeError("int_1^inf k diverges for this profile")
-        if self.family == "stable":
-            return self.c / (self.alpha - 1.0)
-        if self.family == "gamma":
-            return self.c * math.exp(-self.lam) / self.lam
-        hi = (45.0 + math.log1p(self.c)) / max(self.lam, 1e-12)
-        grid = log_radial_grid(1.0, max(hi, 2.0), points_per_decade=48)
+        if self.family != "custom":
+            return _tail_moment(_density(self, "nu"), 1.0, 1)
+        hi = RadialDensity(self.c, 0.0, max(self.lam, 1e-12)).horizon
+        grid = log_radial_grid(1.0, hi, points_per_decade=48)
         return radial_integral(lambda r: self.k(r), grid, rel_tol=1e-10)
 
 
@@ -239,6 +233,99 @@ def tempered_k(alpha: float, c: float, lam: float) -> KFunction:
 
 def gamma_k(c: float, lam: float) -> KFunction:
     return KFunction(family="gamma", c=c, lam=lam)
+
+
+# ---------------------------------------------------------------------------
+# radial densities
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RadialDensity:
+    """Radial density rho(r) = amp r^-p e^(-lam r) (1 + b r): a pure power
+    law when lam = 0 (and then b = 0), exponentially decaying otherwise."""
+
+    amp: float
+    p: float
+    lam: float = 0.0
+    b: float = 0.0
+
+    @property
+    def horizon(self) -> float:
+        """Radius past which amp e^(-lam r) < e^-45 (inf for a pure power)."""
+        if self.lam == 0.0:
+            return math.inf
+        return (45.0 + math.log1p(self.amp)) / self.lam + 2.0
+
+    @property
+    def extra(self):
+        """r -> rho(r) / (amp r^-p), or None for a pure power law."""
+        return None if self.lam == 0.0 else self._extra
+
+    def _extra(self, r):
+        e = np.exp(-self.lam * r)
+        return e if self.b == 0.0 else e * (1.0 + self.b * r)
+
+    def _scaled(self, r, k: float):
+        """amp r^-(p + k) e^(-lam r)."""
+        base = self.amp * r ** -(self.p + k)
+        return base if self.lam == 0.0 else base * np.exp(-self.lam * r)
+
+    def rho(self, r):
+        r = np.asarray(r, dtype=float)
+        base = self.amp * r**-self.p
+        return base if self.lam == 0.0 else base * self._extra(r)
+
+    def drho(self, r):
+        """rho'(r), by the product rule."""
+        r = np.asarray(r, dtype=float)
+        q, br = self.p + self.lam * r, self.b * r
+        return self._scaled(r, 1.0) * (br - q * (1.0 + br))
+
+    def d2rho(self, r):
+        """rho''(r), by the product rule."""
+        r = np.asarray(r, dtype=float)
+        q, br = self.p + self.lam * r, self.b * r
+        return self._scaled(r, 2.0) * ((q * q + self.p) * (1.0 + br) - 2.0 * br * q)
+
+
+def _density(kf: KFunction, kind: str) -> RadialDensity:
+    """kind 'nu' -> rho = k(r)/r;  kind 'tilde' -> rho = -k'(r)."""
+    nu = kind == "nu"
+    if kf.family == "stable":
+        return RadialDensity(kf.c if nu else kf.alpha * kf.c, kf.alpha + 1.0)
+    if kf.family == "tempered":
+        a, lam = kf.alpha, kf.lam
+        return RadialDensity(kf.c, a + 1.0, lam) if nu else RadialDensity(a * kf.c, a + 1.0, lam, lam / a)
+    if kf.family == "gamma":
+        return RadialDensity(kf.c, 1.0, kf.lam) if nu else RadialDensity(kf.c * kf.lam, 0.0, kf.lam)
+    raise UnsupportedFamilyError(
+        "radial densities exist for the stable / tempered / gamma families only"
+    )
+
+
+def density_nu(kf: KFunction) -> RadialDensity:
+    """k(r)/r, the radial density of the Lévy measure."""
+    return _density(kf, "nu")
+
+
+def density_tilde(kf: KFunction) -> RadialDensity:
+    """-k'(r), the radial density of the derived measure."""
+    return _density(kf, "tilde")
+
+
+def _tail_moment(dens: RadialDensity, A: float, power: int) -> float:
+    """int_A^inf r^power rho(r) dr: closed form for a pure power law, else
+    the refined log-Simpson rule up to the horizon (0 beyond it)."""
+    if dens.lam == 0.0:
+        if dens.p <= power + 1.0:
+            raise RegimeError("the big-jump tail has no moment of this order")
+        return dens.amp * A ** (power + 1.0 - dens.p) / (dens.p - power - 1.0)
+    if A >= dens.horizon:
+        return 0.0
+    # the node spacing near A, A du, must also resolve the decay length 1/lam
+    du = 1.0 / (32.0 * (1.0 + dens.lam * A))
+    return float(_log_quad_complex(A, dens.horizon, du, lambda r: r**power * dens.rho(r)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -370,85 +457,6 @@ def _cphi_full(theta):
     return re + 1j * im
 
 
-@dataclass(frozen=True)
-class _RadialWeight:
-    """Weight w(r) dr for the profile integrals, with derivatives, the
-    local power model near 0, decay class, and analytic tail integrals."""
-
-    w: Callable
-    wp: Callable
-    wpp: Callable
-    c0: float          # w ~ c0 r^-p0 near 0
-    p0: float
-    decay: str         # 'power' (exact power law) or 'exp'
-    lam: float
-    scale_degree: Optional[float]  # exact scaling degree, power-law case
-    tail_w: Optional[Callable]     # int_A^inf w dr
-    tail_rw: Optional[Callable]    # int_A^inf r w dr (None when divergent)
-
-
-def _weight_for(kf: KFunction, kind: str) -> _RadialWeight:
-    """kind 'nu' -> w = k(r)/r;  kind 'tilde' -> w = -k'(r)."""
-    if kf.family == "stable":
-        a = kf.alpha
-        c0 = kf.c if kind == "nu" else kf.alpha * kf.c
-        p = a + 1.0
-        tail_rw = None
-        if a > 1.0:
-            tail_rw = lambda A: c0 * A ** (1.0 - a) / (a - 1.0)
-        return _RadialWeight(
-            w=lambda r: c0 * r**-p,
-            wp=lambda r: -p * c0 * r ** (-p - 1.0),
-            wpp=lambda r: p * (p + 1.0) * c0 * r ** (-p - 2.0),
-            c0=c0,
-            p0=p,
-            decay="power",
-            lam=0.0,
-            scale_degree=a,
-            tail_w=lambda A: c0 * A**-a / a,
-            tail_rw=tail_rw,
-        )
-    if kf.family == "tempered":
-        a, c, lam = kf.alpha, kf.c, kf.lam
-        if kind == "nu":
-            w = lambda r: c * r ** (-a - 1.0) * np.exp(-lam * r)
-            wp = lambda r: -c * r ** (-a - 2.0) * np.exp(-lam * r) * (a + 1.0 + lam * r)
-            wpp = lambda r: c * r ** (-a - 3.0) * np.exp(-lam * r) * (
-                (a + 1.0) * (a + 2.0) + 2.0 * (a + 1.0) * lam * r + (lam * r) ** 2
-            )
-            c0 = c
-        else:
-            w = lambda r: c * r ** (-a - 1.0) * np.exp(-lam * r) * (a + lam * r)
-            wp = lambda r: -c * r ** (-a - 2.0) * np.exp(-lam * r) * (
-                a * (a + 1.0) + 2.0 * a * lam * r + (lam * r) ** 2
-            )
-            wpp = lambda r: c * r ** (-a - 3.0) * np.exp(-lam * r) * (
-                a * (a + 1.0) * (a + 2.0)
-                + 3.0 * a * (a + 1.0) * lam * r
-                + 3.0 * a * (lam * r) ** 2
-                + (lam * r) ** 3
-            )
-            c0 = a * c
-        return _RadialWeight(w, wp, wpp, c0, a + 1.0, "exp", lam, None, None, None)
-    if kf.family == "gamma":
-        c, lam = kf.c, kf.lam
-        if kind == "nu":
-            w = lambda r: c * np.exp(-lam * r) / r
-            wp = lambda r: -c * np.exp(-lam * r) * (1.0 + lam * r) / r**2
-            wpp = lambda r: c * np.exp(-lam * r) * (2.0 + 2.0 * lam * r + (lam * r) ** 2) / r**3
-            c0, p0 = c, 1.0
-        else:
-            w = lambda r: c * lam * np.exp(-lam * r)
-            wp = lambda r: -c * lam**2 * np.exp(-lam * r)
-            wpp = lambda r: c * lam**3 * np.exp(-lam * r)
-            c0, p0 = c * lam, 0.0
-        return _RadialWeight(w, wp, wpp, c0, p0, "exp", lam, None, None, None)
-    raise UnsupportedFamilyError(
-        "profile integrals for custom k-functions are not implemented; "
-        "use the stable / tempered / gamma families"
-    )
-
-
 def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9):
     """Adaptive composite Simpson of f(r) dr on a log grid over (lo, hi)."""
     base = max(16, int(math.ceil(math.log(hi / lo) / min(du_cap, 1.0 / 48.0))) + 1)
@@ -461,54 +469,37 @@ def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9):
     return _refine(estimate, 5, rel)[0]
 
 
-def _osc_tail(A, rho, v, vp, vpp, tail_v):
-    """int_A^inf e^{i r rho} v(r) dr: three-term integration by parts for
-    rho != 0, the exact tail integral for rho == 0."""
+def _osc_tail(A, rho, dens: RadialDensity, power: int):
+    """int_A^inf e^{i r rho} r^power dens(r) dr: three-term integration by
+    parts for rho != 0, the tail moment for rho == 0."""
     if rho == 0.0:
-        if tail_v is None:
-            raise RegimeError("zero-frequency tail requested for a divergent weight")
-        return complex(tail_v(A))
+        return complex(_tail_moment(dens, A, power))
+    v, vp, vpp = dens.rho(A), dens.drho(A), dens.d2rho(A)
+    if power == 1:
+        v, vp, vpp = A * v, v + A * vp, 2.0 * vp + A * vpp
     z = 1j * rho
-    return np.exp(1j * A * rho) * (-v(A) / z + vp(A) / z**2 - vpp(A) / z**3)
+    return np.exp(1j * A * rho) * (-v / z + vp / z**2 - vpp / z**3)
 
 
-def _decay_horizon(wt: _RadialWeight) -> float:
-    return (45.0 + max(0.0, math.log1p(wt.c0))) / wt.lam + 2.0
+def _cutoff_A(dens: RadialDensity, s_abs, tol, for_rw=False):
+    p = dens.p - 1.0 if for_rw else dens.p
+    A = (dens.amp * max(p, 0.5) * (p + 1.0) / (tol * s_abs**3)) ** (1.0 / (p + 2.0))
+    # beyond the decay horizon the density is numerically zero; the
+    # three-term IBP tail is valid either way, so take the cheaper cap
+    return min(max(16.0, 12.0 / s_abs, A), dens.horizon)
 
 
-def _cutoff_A(wt: _RadialWeight, s_abs, tol, for_rw=False):
-    p = wt.p0 - 1.0 if for_rw else wt.p0
-    c0 = wt.c0
-    A = (c0 * max(p, 0.5) * (p + 1.0) / (tol * s_abs**3)) ** (1.0 / (p + 2.0))
-    A = max(16.0, 12.0 / s_abs, A)
-    if wt.decay == "exp":
-        # beyond the decay horizon the weight is numerically zero; the
-        # three-term IBP tail is valid either way, so take the cheaper cap
-        A = min(A, _decay_horizon(wt))
-    return A
-
-
-def _tail_moment(wt: _RadialWeight, A: float, power: int) -> float:
-    """int_A^inf r^power w(r) dr for exponentially decaying weights."""
-    horizon = _decay_horizon(wt)
-    if A >= horizon:
-        return 0.0
-    return float(
-        _log_quad_complex(A, horizon, 1.0 / 32.0, lambda r: r**power * wt.w(r)).real
-    )
-
-
-def _profile_generic(s: float, wt: _RadialWeight, mode: str, tol: float = 1e-10) -> complex:
-    """int_0^inf phi_mode(r s) w(r) dr for one scalar frequency s."""
+def _profile_generic(s: float, dens: RadialDensity, mode: str, tol: float = 1e-10) -> complex:
+    """int_0^inf phi_mode(r s) rho(r) dr for one scalar frequency s."""
     if s == 0.0:
         return 0.0 + 0.0j
     sa = abs(s)
-    p0 = wt.p0
+    p0, c0 = dens.p, dens.amp
 
     # small panel (r_lo, 1], fully compensated phase where needed
-    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / (wt.c0 * sa**2)) ** (1.0 / (3.0 - p0)))
-    m1 = wt.c0 * r_lo ** (2.0 - p0) / (2.0 - p0) if p0 < 2.0 else None
-    m2 = wt.c0 * r_lo ** (3.0 - p0) / (3.0 - p0)
+    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / (c0 * sa**2)) ** (1.0 / (3.0 - p0)))
+    m1 = c0 * r_lo ** (2.0 - p0) / (2.0 - p0) if p0 < 2.0 else None
+    m2 = c0 * r_lo ** (3.0 - p0) / (3.0 - p0)
 
     if mode == "raw":
         small_phase = _cphi_raw
@@ -524,12 +515,12 @@ def _profile_generic(s: float, wt: _RadialWeight, mode: str, tol: float = 1e-10)
     else:
         raise DomainError(f"unknown profile mode {mode!r}")
 
-    small = _log_quad_complex(r_lo, 1.0, 1.0 / 48.0, lambda r: small_phase(r * s) * wt.w(r))
+    small = _log_quad_complex(r_lo, 1.0, 1.0 / 48.0, lambda r: small_phase(r * s) * dens.rho(r))
     small += small_corr
 
     # big panel (1, A] in octaves, oscillation-resolving node density
     sigma_mode = mode == "sigma"
-    A = _cutoff_A(wt, sa, tol, for_rw=sigma_mode)
+    A = _cutoff_A(dens, sa, tol, for_rw=sigma_mode)
     big = 0.0 + 0.0j
     rw_int = 0.0
     lo = 1.0
@@ -537,34 +528,19 @@ def _profile_generic(s: float, wt: _RadialWeight, mode: str, tol: float = 1e-10)
         hi = min(2.0 * lo, A)
         du = min(1.0 / 48.0, 2.0 * math.pi / (10.0 * sa * hi))
         if sigma_mode:
-            big += _log_quad_complex(lo, hi, du, lambda r: 1j * r * s * _cphi_raw(r * s) * wt.w(r))
+            big += _log_quad_complex(lo, hi, du, lambda r: 1j * r * s * _cphi_raw(r * s) * dens.rho(r))
         else:
-            big += _log_quad_complex(lo, hi, du, lambda r: _cphi_raw(r * s) * wt.w(r))
+            big += _log_quad_complex(lo, hi, du, lambda r: _cphi_raw(r * s) * dens.rho(r))
         if mode == "full":
-            rw_int += _log_quad_complex(lo, hi, 1.0 / 48.0, lambda r: r * wt.w(r)).real
+            rw_int += _log_quad_complex(lo, hi, 1.0 / 48.0, lambda r: r * dens.rho(r)).real
         lo = hi
 
-    if wt.decay == "power":
-        tail_w, tail_rw = wt.tail_w, wt.tail_rw
-    else:
-        tail_w = lambda A_: _tail_moment(wt, A_, 0)
-        tail_rw = lambda A_: _tail_moment(wt, A_, 1)
-
     if sigma_mode:
-        v = lambda r: r * wt.w(r)
-        vp = lambda r: wt.w(r) + r * wt.wp(r)
-        vpp = lambda r: 2.0 * wt.wp(r) + r * wt.wpp(r)
-        if wt.decay == "power" and wt.tail_rw is None:
-            raise RegimeError("sigma-mode tail diverges: big jumps need a first moment")
-        tail = 1j * s * (_osc_tail(A, s, v, vp, vpp, tail_rw) - tail_rw(A))
+        tail = 1j * s * (_osc_tail(A, s, dens, 1) - _tail_moment(dens, A, 1))
         return small + big + tail
-    osc = _osc_tail(A, s, wt.w, wt.wp, wt.wpp, tail_w)
-    tail = osc - tail_w(A)
+    tail = _osc_tail(A, s, dens, 0) - _tail_moment(dens, A, 0)
     if mode == "full":
-        if wt.decay == "power" and wt.tail_rw is None:
-            raise RegimeError("full compensation diverges: big jumps need a first moment")
-        tail += -1j * s * (rw_int + tail_rw(A))
-        return small + big + tail
+        tail += -1j * s * (rw_int + _tail_moment(dens, A, 1))
     return small + big + tail
 
 
@@ -578,30 +554,30 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
     at |s| = 1; other families are integrated frequency by frequency.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    wt = _weight_for(kf, kind)
+    dens = _density(kf, kind)
     out = np.zeros(s_values.shape, dtype=complex)
     nz = s_values != 0.0
     if not nz.any():
         return out
-    if wt.scale_degree is not None:
-        a = wt.scale_degree
+    if dens.lam == 0.0:
+        a = kf.alpha
         key = (kf.family, kf.alpha, kf.c, kf.lam, kind, mode, tol)
         base = _BASE_CACHE.get(key)
         if base is None:
-            base = _profile_generic(1.0, wt, mode, tol)
+            base = _profile_generic(1.0, dens, mode, tol)
             _BASE_CACHE[key] = base
         sa = np.abs(s_values[nz])
         vals = sa**a * base
         if mode == "ball":
             if a == 1.0:
-                vals = vals - 1j * wt.c0 * sa * np.log(sa)
+                vals = vals - 1j * dens.amp * sa * np.log(sa)
             else:
-                vals = vals + 1j * wt.c0 * (sa**a - sa) / (1.0 - a)
+                vals = vals + 1j * dens.amp * (sa**a - sa) / (1.0 - a)
         vals = np.where(s_values[nz] < 0.0, np.conj(vals), vals)
         out[nz] = vals
         return out
     for i in np.nonzero(nz)[0]:
-        out[i] = _profile_generic(float(s_values[i]), wt, mode, tol)
+        out[i] = _profile_generic(float(s_values[i]), dens, mode, tol)
     return out
 
 
@@ -708,16 +684,17 @@ def symbol_sigma_tilde(tnu: TildeNu, xi, zeta, tol: float = 1e-10) -> complex:
     )
 
 
-def _rho_ray(s: float, t: float, wt: _RadialWeight, tol: float) -> complex:
-    """int_0^inf i r t e^{i r t} (e^{i r s} - 1) w(r) dr."""
+def _rho_ray(s: float, t: float, dens: RadialDensity, tol: float) -> complex:
+    """int_0^inf i r t e^{i r t} (e^{i r s} - 1) rho(r) dr."""
     if t == 0.0 or s == 0.0:
         return 0.0 + 0.0j
-    r_lo = min(1e-3, (2.0 * tol * (3.0 - wt.p0) / (wt.c0 * abs(s) * abs(t))) ** (1.0 / (3.0 - wt.p0)))
-    m2 = wt.c0 * r_lo ** (3.0 - wt.p0) / (3.0 - wt.p0)
-    f = lambda r: 1j * r * t * np.exp(1j * r * t) * _cphi_raw(r * s) * wt.w(r)
+    p0, c0 = dens.p, dens.amp
+    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / (c0 * abs(s) * abs(t))) ** (1.0 / (3.0 - p0)))
+    m2 = c0 * r_lo ** (3.0 - p0) / (3.0 - p0)
+    f = lambda r: 1j * r * t * np.exp(1j * r * t) * _cphi_raw(r * s) * dens.rho(r)
     small = _log_quad_complex(r_lo, 1.0, 1.0 / 48.0, f) - s * t * m2
     smax = max(abs(s), abs(t), abs(s + t), 1e-6)
-    A = _cutoff_A(wt, smax, tol, for_rw=True)
+    A = _cutoff_A(dens, smax, tol, for_rw=True)
     big = 0.0 + 0.0j
     lo = 1.0
     while lo < A:
@@ -725,15 +702,7 @@ def _rho_ray(s: float, t: float, wt: _RadialWeight, tol: float) -> complex:
         du = min(1.0 / 48.0, 2.0 * math.pi / (10.0 * smax * hi))
         big += _log_quad_complex(lo, hi, du, f)
         lo = hi
-    v = lambda r: r * wt.w(r)
-    vp = lambda r: wt.w(r) + r * wt.wp(r)
-    vpp = lambda r: 2.0 * wt.wp(r) + r * wt.wpp(r)
-    tail_rw = wt.tail_rw if wt.decay == "power" else (lambda A_: _tail_moment(wt, A_, 1))
-    if wt.decay == "power" and wt.tail_rw is None:
-        raise RegimeError("rho symbol needs big jumps with a first moment")
-    tail = 1j * t * (
-        _osc_tail(A, s + t, v, vp, vpp, tail_rw) - _osc_tail(A, t, v, vp, vpp, tail_rw)
-    )
+    tail = 1j * t * (_osc_tail(A, s + t, dens, 1) - _osc_tail(A, t, dens, 1))
     return small + big + tail
 
 
@@ -744,12 +713,12 @@ def symbol_rho_tilde(tnu: TildeNu, xi, zeta, tol: float = 1e-10) -> complex:
         raise RegimeError("rho symbol diverges for stable profiles with alpha <= 1")
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    wt = _weight_for(tnu.kf, "tilde")
+    dens = _density(tnu.kf, "tilde")
     s = tnu.sphere.atoms @ xi
     t = tnu.sphere.atoms @ zeta
     total = 0.0 + 0.0j
     for sj, tj, wj in zip(s, t, tnu.sphere.weights):
-        total += wj * (_rho_ray(float(sj), float(tj), wt, tol) + _rho_ray(float(tj), float(sj), wt, tol))
+        total += wj * (_rho_ray(float(sj), float(tj), dens, tol) + _rho_ray(float(tj), float(sj), dens, tol))
     return complex(total)
 
 

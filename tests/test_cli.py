@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +129,16 @@ class TestCommands:
         # the pass verdict tracks the last ratio against [0.95, 1.05]
         expected = EXIT_PASS if 0.95 <= rows[-1]["ratio"] <= 1.05 else EXIT_CHECK_FAILED
         assert code == expected
+
+    def test_module_form_prints_a_report(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinlab.cli", "normalize", "--alpha", "1.5", "--d", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["pass"] is True
 
 
 class TestReproducibility:

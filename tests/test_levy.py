@@ -104,15 +104,15 @@ class TestLKExponent:
             one_atom_law(0.5, rep="center_b1")  # big jumps not integrable
 
     def test_scaling_fast_path_matches_generic_quadrature(self):
-        from steinlab.levy import _profile_generic, _weight_for
+        from steinlab.levy import _profile_generic, density_nu
 
         kf = stable_k(1.5, 0.3)
-        wt = _weight_for(kf, "nu")
+        dens = density_nu(kf)
         from steinlab.levy import _profile
 
         for s in (0.7, -1.3, 2.1):
             fast = complex(_profile(np.array([s]), kf, "nu", "ball")[0])
-            generic = _profile_generic(s, wt, "ball")
+            generic = _profile_generic(s, dens, "ball")
             assert fast == pytest.approx(generic, rel=1e-7)
 
     def test_tempered_exponent_against_brute_force(self):
@@ -175,6 +175,104 @@ class TestTildeNu:
         assert radial * sphere.total_mass == pytest.approx(
             0.7 * sphere.total_mass, rel=1e-8
         )
+
+
+def _hand_derivatives(kf, kind):
+    """w, w' and w'' of k(r)/r (kind 'nu') and -k'(r) (kind 'tilde'),
+    differentiated by hand for each family."""
+    if kf.family == "stable":
+        a = kf.alpha
+        c0 = kf.c if kind == "nu" else a * kf.c
+        p = a + 1.0
+        return (
+            lambda r: c0 * r**-p,
+            lambda r: -p * c0 * r ** (-p - 1.0),
+            lambda r: p * (p + 1.0) * c0 * r ** (-p - 2.0),
+        )
+    if kf.family == "tempered":
+        a, c, lam = kf.alpha, kf.c, kf.lam
+        if kind == "nu":
+            return (
+                lambda r: c * r ** (-a - 1.0) * np.exp(-lam * r),
+                lambda r: -c * r ** (-a - 2.0) * np.exp(-lam * r) * (a + 1.0 + lam * r),
+                lambda r: c * r ** (-a - 3.0) * np.exp(-lam * r) * (
+                    (a + 1.0) * (a + 2.0) + 2.0 * (a + 1.0) * lam * r + (lam * r) ** 2
+                ),
+            )
+        return (
+            lambda r: c * r ** (-a - 1.0) * np.exp(-lam * r) * (a + lam * r),
+            lambda r: -c * r ** (-a - 2.0) * np.exp(-lam * r) * (
+                a * (a + 1.0) + 2.0 * a * lam * r + (lam * r) ** 2
+            ),
+            lambda r: c * r ** (-a - 3.0) * np.exp(-lam * r) * (
+                a * (a + 1.0) * (a + 2.0)
+                + 3.0 * a * (a + 1.0) * lam * r
+                + 3.0 * a * (lam * r) ** 2
+                + (lam * r) ** 3
+            ),
+        )
+    c, lam = kf.c, kf.lam
+    if kind == "nu":
+        return (
+            lambda r: c * np.exp(-lam * r) / r,
+            lambda r: -c * np.exp(-lam * r) * (1.0 + lam * r) / r**2,
+            lambda r: c * np.exp(-lam * r) * (2.0 + 2.0 * lam * r + (lam * r) ** 2) / r**3,
+        )
+    return (
+        lambda r: c * lam * np.exp(-lam * r),
+        lambda r: -c * lam**2 * np.exp(-lam * r),
+        lambda r: c * lam**3 * np.exp(-lam * r),
+    )
+
+
+DENSITY_PROFILES = {
+    "stable": stable_k(1.5, 0.4),
+    "tempered": tempered_k(0.8, 0.5, 1.0),
+    "gamma": gamma_k(2.0, 1.5),
+}
+
+
+class TestRadialDensity:
+    @pytest.mark.parametrize("kind", ["nu", "tilde"])
+    @pytest.mark.parametrize("family", list(DENSITY_PROFILES))
+    def test_derivatives_match_hand_formulas(self, family, kind):
+        from steinlab.levy import density_nu, density_tilde
+
+        kf = DENSITY_PROFILES[family]
+        dens = (density_nu if kind == "nu" else density_tilde)(kf)
+        r = np.logspace(-3, 2, 60)
+        for got, want in zip((dens.rho, dens.drho, dens.d2rho), _hand_derivatives(kf, kind)):
+            assert np.allclose(got(r), want(r), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("power", [0, 1])
+    @pytest.mark.parametrize("kind", ["nu", "tilde"])
+    @pytest.mark.parametrize("family", ["tempered", "gamma"])
+    def test_decaying_tail_moment_matches_quad(self, family, kind, power):
+        from scipy import integrate
+
+        from steinlab.levy import _tail_moment, density_nu, density_tilde
+
+        dens = (density_nu if kind == "nu" else density_tilde)(DENSITY_PROFILES[family])
+        f = lambda r: r**power * float(dens.rho(r))
+        quad = lambda lo, hi: integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        # the rule stops at the horizon: what lies beyond it is negligible
+        # against the whole tail, not against a tail that starts near it
+        assert quad(dens.horizon, np.inf) <= 1e-18 * quad(1.0, np.inf)
+        for A in (1.0, 8.0, 30.0):
+            assert _tail_moment(dens, A, power) == pytest.approx(quad(A, dens.horizon), rel=1e-9, abs=0.0)
+
+    def test_power_tail_moment_closed_form(self):
+        from scipy import integrate
+
+        from steinlab.levy import _tail_moment, density_nu, density_tilde
+
+        for dens in (density_nu(stable_k(1.5, 0.4)), density_tilde(stable_k(1.5, 0.4))):
+            for power, A in ((0, 1.0), (0, 8.0), (1, 1.0), (1, 30.0)):
+                ref = integrate.quad(lambda r: r**power * float(dens.rho(r)), A, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+                assert _tail_moment(dens, A, power) == pytest.approx(ref, rel=1e-9)
+        for alpha in (0.5, 1.0):
+            with pytest.raises(RegimeError):
+                _tail_moment(density_nu(stable_k(alpha, 1.0)), 1.0, 1)
 
 
 class TestConvertRepresentation:
