@@ -21,11 +21,11 @@ import numpy as np
 
 from ._errors import DomainError, RegimeError, UnsupportedFamilyError
 from .jumps import (
-    _along_directions,
     _cutoff,
-    _increment,
     _is_constant,
+    _jump_product,
     _radial_rule,
+    _ray_tables,
     _reach,
     _shifted_eval,
     density_nu,
@@ -90,18 +90,7 @@ def _gamma1_integral_at(f, g, X, sphere, dens, n_small=24, per_octave=12):
     """(1/2) int (f(x+u)-f(x))(g(x+u)-g(x)) dnu~ at each row of X."""
     if _is_constant(f) or _is_constant(g):
         return np.zeros(X.shape[0])
-    fz = np.asarray(f.evaluate(X), dtype=float)
-    gz = np.asarray(g.evaluate(X), dtype=float)
-    R_want = _cutoff(X, max(_reach(f), _reach(g)), dens)
-    r, c, _, tail = _radial_rule(dens, R_want, 2, 0, n_small, per_octave)
-
-    def increment(x, rows):
-        inc = _increment(f, X[rows], x, r, fz[rows])
-        inc *= _increment(g, X[rows], x, r, gz[rows])
-        return inc
-
-    radial = _along_directions(sphere, c, X.shape[0], increment)
-    return 0.5 * (sphere.weights @ radial + fz * gz * tail * sphere.total_mass)
+    return 0.5 * _jump_product(f, g, X, sphere, dens, n_small, per_octave)
 
 
 def gamma1(law: IDLaw, f: TestFunction, g: TestFunction, x, route: str = "integral") -> float:
@@ -306,9 +295,10 @@ def poincare_residual(law: IDLaw, f: TestFunction, n: int, seed: int, n_dirs: in
     f_mean = float(mc_expectation(lambda p: f.evaluate(p), batch).value)
     dens = density_nu(kf)
     sphere = quad_sphere_for(law, n_dirs)
+    tables = _ray_tables("square", f, dens)
 
     def per_chunk(Z):
-        energy = jump_square_chunk(f, Z, sphere, dens)
+        energy = jump_square_chunk(f, Z, sphere, dens, tables=tables)
         fz = np.asarray(f.evaluate(Z), dtype=float)
         return energy - (fz - f_mean) ** 2
 

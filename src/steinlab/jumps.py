@@ -30,18 +30,34 @@ blocks rows: it hands each increment the samples in row blocks of at most
 Temporaries of that size stay in cache and are reused by the allocator,
 where larger ones are returned to the system and faulted in again on
 every call.
+
+Ray tables.  A Gaussian bump on the ray z + r x is sum_k C_k g_k(p + r)
+with p = <z - c, x> and fixed 1-D profiles g_k (``numerics.RaySplit``),
+so each engine's integral along x is sum_k C_k T_k(p), and the square's
+is sum_kl C_k C_l T_kl(p), with tables T that depend on the density and
+the bump's width alone.  ``_ray_tables`` builds them by running the
+engine itself on the profiles, at ``RAY_PER_OCTAVE`` nodes per octave,
+with the knots as samples; the engines read them when passed
+``tables=``.  The Monte Carlo estimators (the five ``stein.residual_*``
+and ``dirichlet.poincare_residual``) build their tables once per call and
+every chunk reads them; a sample with the bump more than the tables'
+reach ahead along some direction runs the engine at ``RAY_PER_OCTAVE``.
+Test functions without a ray split and every point evaluation (the
+generator, the carré du champs and Gamma_2 routes, the curvature check)
+run the engine as it is.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from ._errors import DomainError
 from .levy import RadialDensity, _tail_moment, density_nu, density_tilde
-from .numerics import SphericalGrid, TestFunction, gauss_jacobi_unit, uniform_sphere
+from .numerics import RaySplit, SphericalGrid, TestFunction, _uniform_interval, gauss_jacobi_unit, uniform_sphere
 from .sampling import CHUNK  # noqa: F401  (the chunk size the engines are sized for)
 
 __all__ = ["RadialDensity", "density_nu", "density_tilde", "quad_sphere_for"]
@@ -242,54 +258,177 @@ def _jump_grad_diff(f, Z, sphere, dens, n_small, per_octave):
     return sphere.weights @ radial - tail * (gz @ (sphere.weights @ sphere.atoms))
 
 
-def _jump_square(f, Z, sphere, dens, n_small, per_octave):
+def _jump_product(f, g, Z, sphere, dens, n_small, per_octave):
+    """int (f(z+u) - f(z)) (g(z+u) - g(z)) nu(du) per sample; the square
+    of one increment when g is f."""
     fz = np.asarray(f.evaluate(Z), dtype=float)
-    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 2, 0, n_small, per_octave)
+    gz = fz if g is f else np.asarray(g.evaluate(Z), dtype=float)
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, max(_reach(f), _reach(g)), dens), 2, 0, n_small, per_octave)
 
     def increment(x, rows):
         inc = _increment(f, Z[rows], x, r, fz[rows])
-        return np.square(inc, out=inc)
+        if g is f:
+            return np.square(inc, out=inc)
+        inc *= _increment(g, Z[rows], x, r, gz[rows])
+        return inc
 
     radial = _along_directions(sphere, c, Z.shape[0], increment)
-    return sphere.weights @ radial + fz**2 * tail * sphere.total_mass
+    return sphere.weights @ radial + fz * gz * tail * sphere.total_mass
 
 
-def _bucketed(engine, f, Z, sphere, dens, n_small, per_octave, shape):
-    """Run a per-sample engine on norm buckets of the chunk; zero for a
-    constant f, whose increments all vanish."""
-    out = np.zeros(shape)
+def _jump_square(f, Z, sphere, dens, n_small, per_octave):
+    return _jump_product(f, f, Z, sphere, dens, n_small, per_octave)
+
+
+_ENGINES = {
+    "raw": _jump_raw,
+    "ball": _jump_ball,
+    "vector": _jump_vector,
+    "grad_diff": _jump_grad_diff,
+    "square": _jump_square,
+}
+
+
+def _bucketed(kind, f, Z, sphere, dens, n_small, per_octave, tables=None):
+    """Run one kind of per-sample engine on norm buckets of the chunk, or
+    read it off ray tables built for it; zero for a constant f, whose
+    increments all vanish."""
+    out = np.zeros(Z.shape if kind == "vector" else Z.shape[0])
     if _is_constant(f):
         return out
+    if tables is not None:
+        if tables.kind != kind:
+            raise DomainError(f"ray tables built for the {tables.kind} engine, not the {kind} engine")
+        return _read_ray_tables(tables, f, Z, sphere, dens, n_small)
     for idx in _norm_buckets(Z):
-        out[idx] = engine(f, Z[idx], sphere, dens, n_small, per_octave)
+        out[idx] = _ENGINES[kind](f, Z[idx], sphere, dens, n_small, per_octave)
     return out
 
 
-def jump_raw_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
+def jump_raw_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8, tables=None):
     """int (f(z+u) - f(z)) nu(du) per sample (raw increment; needs the
     density integrable at 0 against r, i.e. p < 2)."""
-    return _bucketed(_jump_raw, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
+    return _bucketed("raw", f, Z, sphere, dens, n_small, per_octave, tables)
 
 
-def jump_ball_chunk(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=8):
+def jump_ball_chunk(f, Z, sphere, dens: RadialDensity, n_small=16, per_octave=8, tables=None):
     """int (f(z+u) - f(z) - <grad f(z), u> 1_{|u|<=1}) nu(du) per sample."""
-    return _bucketed(_jump_ball, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
+    return _bucketed("ball", f, Z, sphere, dens, n_small, per_octave, tables)
 
 
-def jump_vector_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
+def jump_vector_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8, tables=None):
     """int (f(z+u) - f(z)) u nu(du) per sample, as an (m, d) array.
 
     The radial factor of u cancels one power of the density, so this
     needs p < 3 near the origin and, for a pure power, p > 2 in the tail
     (finite first moment), i.e. the stable range alpha in (1, 2)."""
-    return _bucketed(_jump_vector, f, Z, sphere, dens, n_small, per_octave, Z.shape)
+    return _bucketed("vector", f, Z, sphere, dens, n_small, per_octave, tables)
 
 
-def jump_grad_diff_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
+def jump_grad_diff_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8, tables=None):
     """int <grad f(z+u) - grad f(z), u> nu(du) per sample (scalar)."""
-    return _bucketed(_jump_grad_diff, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
+    return _bucketed("grad_diff", f, Z, sphere, dens, n_small, per_octave, tables)
 
 
-def jump_square_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8):
+def jump_square_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=8, tables=None):
     """int (f(z+u) - f(z))^2 nu(du) per sample."""
-    return _bucketed(_jump_square, f, Z, sphere, dens, n_small, per_octave, Z.shape[0])
+    return _bucketed("square", f, Z, sphere, dens, n_small, per_octave, tables)
+
+
+# ---------------------------------------------------------------------------
+# ray tables
+# ---------------------------------------------------------------------------
+
+# The tables cover t = sqrt(a) p in [-RAY_T_MAX, RAY_T_MAX] on knots
+# RAY_T_STEP apart, for the profiles' width a.  Past +RAY_T_MAX the bump
+# is behind the sample and every table is e^-1024 of its size; past
+# -RAY_T_MAX the bump is too far ahead, and the engine takes the sample.
+RAY_T_MAX = 32.0
+RAY_T_STEP = 1.0 / 32.0
+RAY_PER_OCTAVE = 64  # resolves a bump RAY_T_MAX / sqrt(a) ahead of the sample
+
+_PLUS = SphericalGrid(atoms=np.array([[1.0]]), weights=np.array([1.0]))
+
+
+class _RayTables(NamedTuple):
+    kind: str
+    split: RaySplit
+    knots: np.ndarray
+    coef: np.ndarray  # (4, tables, knots - 1) cubic coefficients, highest power first
+
+
+def _ray_tables(kind, f, dens):
+    """The 1-D tables of one engine for f's ray split (None when f has
+    none, or is constant).
+
+    Each table is the engine itself, run at RAY_PER_OCTAVE on a profile g_k
+    with the knots as samples along the one direction +1.  The square adds
+    the cross tables of the product increment, ordered (0, 0), (0, 1), ...,
+    (n-1, n-1).  The knots depend on the profiles' width alone, so the
+    tables do not depend on the samples."""
+    split = f.ray_split
+    if split is None or _is_constant(f):
+        return None
+    h = RAY_T_STEP / math.sqrt(split.a)
+    half = int(round(RAY_T_MAX / RAY_T_STEP))
+    knots = h * np.arange(-half, half + 1)
+    P = knots[:, None]
+    g = split.profiles()
+    # the public engine, looked up by name when called: perfbench/spans.py rebinds it
+    chunk = globals()[f"jump_{kind}_chunk"]
+    if kind == "square":
+        cols = [
+            chunk(g[k], P, _PLUS, dens, per_octave=RAY_PER_OCTAVE)
+            if k == l
+            else _jump_product(g[k], g[l], P, _PLUS, dens, 12, RAY_PER_OCTAVE)
+            for k in range(split.n)
+            for l in range(k, split.n)
+        ]
+    else:
+        cols = [chunk(gk, P, _PLUS, dens, per_octave=RAY_PER_OCTAVE).reshape(-1) for gk in g]
+    # imported here, after the package: loading scipy.interpolate ahead of
+    # it raised a process's resident memory by 2 MB (stein loads it anyway)
+    from scipy.interpolate import CubicSpline
+
+    coef = CubicSpline(knots, np.stack(cols, axis=1), axis=0).c
+    return _RayTables(kind, split, knots, np.ascontiguousarray(coef.transpose(0, 2, 1)))
+
+
+def _table_values(tables, p):
+    """(tables, p.size) values of every table at the points p."""
+    j, dx = _uniform_interval(tables.knots, p)
+    out = np.empty((tables.coef.shape[1], p.size))
+    for c, v in zip(tables.coef.transpose(1, 0, 2), out):
+        np.take(c[0], j, out=v)
+        for k in (1, 2, 3):
+            v *= dx
+            v += np.take(c[k], j)
+    return out
+
+
+def _read_ray_tables(tables, f, Z, sphere, dens, n_small):
+    """The jump integral of tables.kind per sample, read off the tables:
+    per direction sum_k C_k T_k(p), or sum_kl C_k C_l T_kl(p) for the
+    square, in row blocks of at most BLOCK (sample, direction) pairs.
+    Samples with the bump beyond the tables ahead along some direction
+    run the engine at RAY_PER_OCTAVE."""
+    split, P = tables.split, tables.knots[-1]
+    vector = tables.kind == "vector"
+    weights = sphere.weights[:, None] * sphere.atoms if vector else sphere.weights
+    pairs = [(k, l) for k in range(split.n) for l in range(k, split.n)]
+    out = np.empty(Z.shape if vector else Z.shape[0])
+    far = np.empty(Z.shape[0], dtype=bool)
+    step = max(1, BLOCK // sphere.atoms.shape[0])
+    for lo in range(0, Z.shape[0], step):
+        rows = slice(lo, lo + step)
+        C, p = split.split(Z[rows], sphere.atoms)
+        T = _table_values(tables, np.minimum(p, P).reshape(-1)).reshape((-1,) + p.shape)
+        if tables.kind == "square":
+            val = sum((1.0 if k == l else 2.0) * C[:, :, k] * C[:, :, l] * T[i] for i, (k, l) in enumerate(pairs))
+        else:
+            val = sum(C[:, :, k] * T[k] for k in range(split.n))
+        out[rows] = val @ weights
+        far[rows] = np.any(p < -P, axis=1)
+    if far.any():
+        out[far] = _bucketed(tables.kind, f, Z[far], sphere, dens, n_small, RAY_PER_OCTAVE)
+    return out

@@ -470,22 +470,45 @@ def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9):
 
 
 def _osc_tail(A, rho, dens: RadialDensity, power: int):
-    """int_A^inf e^{i r rho} r^power dens(r) dr: three-term integration by
-    parts for rho != 0, the tail moment for rho == 0."""
+    """int_A^inf e^{i r rho} r^power dens(r) dr.
+
+    0 from the decay horizon on, where the density is e^-45 of its
+    amplitude; the tail moment for rho == 0; else three-term integration
+    by parts from B = max(A, 12 / |rho|), where |rho| B >= 12 makes it
+    hold, with the stretch (A, B) by quadrature."""
+    if A >= dens.horizon:
+        return 0.0 + 0.0j
     if rho == 0.0:
         return complex(_tail_moment(dens, A, power))
-    v, vp, vpp = dens.rho(A), dens.drho(A), dens.d2rho(A)
+    f = lambda r: np.exp(1j * r * rho) * r**power * dens.rho(r)
+    B = min(max(A, 12.0 / abs(rho)), dens.horizon)
+    head = 0.0 + 0.0j
+    if B > A:
+        head = _log_quad_complex(A, B, min(1.0 / 48.0, 2.0 * math.pi / (10.0 * abs(rho) * B)), f)
+        if B >= dens.horizon:
+            return head
+    v, vp, vpp = dens.rho(B), dens.drho(B), dens.d2rho(B)
     if power == 1:
-        v, vp, vpp = A * v, v + A * vp, 2.0 * vp + A * vpp
+        v, vp, vpp = B * v, v + B * vp, 2.0 * vp + B * vpp
     z = 1j * rho
-    return np.exp(1j * A * rho) * (-v / z + vp / z**2 - vpp / z**3)
+    return head + np.exp(1j * B * rho) * (-v / z + vp / z**2 - vpp / z**3)
+
+
+def _projections(sphere, xi) -> np.ndarray:
+    """<atom, xi> for every atom, with |s| <= 64 eps |xi| set to 0: an atom
+    orthogonal to xi up to rounding (uniform_sphere(2) holds (6.1e-17, 1))
+    would otherwise enter the profiles as a frequency of 1e-17."""
+    xi = np.asarray(xi, dtype=float)
+    s = sphere.atoms @ xi
+    s[np.abs(s) <= 64.0 * np.finfo(float).eps * np.linalg.norm(xi)] = 0.0
+    return s
 
 
 def _cutoff_A(dens: RadialDensity, s_abs, tol, for_rw=False):
     p = dens.p - 1.0 if for_rw else dens.p
     A = (dens.amp * max(p, 0.5) * (p + 1.0) / (tol * s_abs**3)) ** (1.0 / (p + 2.0))
-    # beyond the decay horizon the density is numerically zero; the
-    # three-term IBP tail is valid either way, so take the cheaper cap
+    # beyond the decay horizon the density is numerically zero, and the
+    # tail past a cap there is dropped
     return min(max(16.0, 12.0 / s_abs, A), dens.horizon)
 
 
@@ -600,7 +623,7 @@ def lk_exponent(law: IDLaw, xi, tol: float = 1e-10) -> complex:
         raise RegimeError("drift-form exponent diverges in the small-jump regime")
     if mode == "full" and not law.levy.tail_first_moment:
         raise RegimeError("center-form exponent diverges in the big-jump regime")
-    s = law.levy.sphere.atoms @ xi
+    s = _projections(law.levy.sphere, xi)
     vals = _profile(s, law.levy.kf, "nu", mode, tol)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("radial profile integral returned non-finite values")
@@ -658,13 +681,13 @@ def symbol_sigma_nu(law: IDLaw, xi, tol: float = 1e-10) -> complex:
     if not law.levy.tail_first_moment:
         raise RegimeError("sigma_nu needs an integrable big-jump tail")
     xi = np.asarray(xi, dtype=float)
-    s = law.levy.sphere.atoms @ xi
+    s = _projections(law.levy.sphere, xi)
     vals = _profile(s, law.levy.kf, "nu", "sigma", tol)
     return complex(np.dot(law.levy.sphere.weights, vals))
 
 
 def _eta_ball_tilde(tnu: TildeNu, v, tol):
-    s = tnu.sphere.atoms @ np.asarray(v, dtype=float)
+    s = _projections(tnu.sphere, v)
     vals = _profile(s, tnu.kf, "tilde", "ball", tol)
     return np.dot(tnu.sphere.weights, vals)
 
@@ -714,8 +737,8 @@ def symbol_rho_tilde(tnu: TildeNu, xi, zeta, tol: float = 1e-10) -> complex:
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     dens = _density(tnu.kf, "tilde")
-    s = tnu.sphere.atoms @ xi
-    t = tnu.sphere.atoms @ zeta
+    s = _projections(tnu.sphere, xi)
+    t = _projections(tnu.sphere, zeta)
     total = 0.0 + 0.0j
     for sj, tj, wj in zip(s, t, tnu.sphere.weights):
         total += wj * (_rho_ray(float(sj), float(tj), dens, tol) + _rho_ray(float(tj), float(sj), dens, tol))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -418,8 +418,12 @@ class TestFunction:
 
     ``ray`` and ``ray_slope`` are optional closed forms of ``along`` and
     ``along_slope``: the values and directional slopes on the rays
-    z + r x, computed without building the (m*K, d) points.  A constructor
-    that changes f must set them (``scaled``) or leave them out.
+    z + r x, computed without building the (m*K, d) points.  ``ray_split``
+    (a ``RaySplit``) writes f on those rays as fixed 1-D profiles of
+    p = <z - c, x> + r with per-sample coefficients; the Monte Carlo
+    estimators read their jump integrals off 1-D tables through it.  A
+    constructor that changes f must set all three (``scaled`` scales them)
+    or leave them out (``product``, ``replace(f, ray_split=None)``).
     """
 
     name: str
@@ -434,6 +438,7 @@ class TestFunction:
     reach: Optional[float] = None  # radius beyond which |f| is negligible
     ray: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     ray_slope: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    ray_split: Optional["RaySplit"] = None
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -459,7 +464,12 @@ class TestFunction:
     def scaled(self, amplitude: float) -> "TestFunction":
         """Same shape rescaled by a constant amplitude."""
         ev, gr, fo, rf = self.evaluate, self.gradient, self.fourier, self.radial_fourier
-        ry, rs = self.ray, self.ray_slope
+        ry, rs, sp = self.ray, self.ray_slope, self.ray_split
+
+        def split(Z, x, _s=None if sp is None else sp.split):
+            C, p = _s(Z, x)
+            return amplitude * C, p
+
         return replace(
             self,
             name=f"{amplitude:g}*{self.name}",
@@ -470,6 +480,7 @@ class TestFunction:
             m_bounds=None if self.m_bounds is None else tuple(amplitude * b for b in self.m_bounds),
             ray=None if ry is None else (lambda Z, x, r, _y=ry: amplitude * _y(Z, x, r)),
             ray_slope=None if rs is None else (lambda Z, x, r, _s=rs: amplitude * _s(Z, x, r)),
+            ray_split=None if sp is None else sp._replace(split=split),
         )
 
     def product(self, other: "TestFunction") -> "TestFunction":
@@ -489,6 +500,36 @@ class TestFunction:
             support_radius=min(f.support_radius, g.support_radius),
             dim=f.dim if f.dim is not None else g.dim,
         )
+
+
+class RaySplit(NamedTuple):
+    """f on the rays z + r x as sum_k C[i, j, k] g_k(p[i, j] + r), with
+    p = <z - c, x_j> and the 1-D profiles g_k(t) = t^k exp(-a t^2), k < n.
+
+    ``split(Z, X)`` returns C, an (m, J, n) array, and p, an (m, J) array,
+    for the rows of Z and the unit directions in the rows of X.  The
+    profiles do not depend on the sample, the centre or the direction, so
+    a jump integral of f along x_j is a sum of C-weighted 1-D integrals of
+    the profiles at p."""
+
+    a: float
+    n: int
+    split: Callable[[np.ndarray, np.ndarray], tuple]
+
+    def profiles(self) -> list:
+        """g_0, ..., g_{n-1} as 1-D test functions."""
+        return [gaussian_bump(1, self.a, coord=None if k == 0 else 0) for k in range(self.n)]
+
+
+def _uniform_interval(knots, s):
+    """Interval j of s on uniform knots, clamped to the first and last
+    interval, and the offset s - knots[j].  floor((s - knots[0]) / step)
+    finds j up to one step; the knots themselves settle it."""
+    last = knots.size - 2
+    j = np.clip(np.floor((s - knots[0]) / (knots[1] - knots[0])), 0, last).astype(np.intp)
+    j -= (j > 0) & (s < knots[j])
+    j += (j < last) & (s >= knots[j + 1])
+    return j, s - knots[j]
 
 
 def _ray_points(Z, x, r) -> np.ndarray:
@@ -574,6 +615,28 @@ def gaussian_bump(
         e *= amp
         return y, s, e
 
+    def split(Z, X):
+        # f(z + r x) = amp e^(-a q) g_0(p + r) for the plain bump, and
+        # amp e^(-a q) [(y_j - p x_j) g_0(p + r) + x_j g_1(p + r)] for the
+        # coordinate bump, with q from the perpendicular part as in _ray_exp
+        y = Z - c
+        p = y @ X.T
+        e = np.zeros(p.shape)
+        for i in range(d):
+            u = np.multiply(p, -X[:, i])
+            u += y[:, i, None]
+            if i == coord:
+                perp_j = u.copy()
+            e += np.square(u, out=u)
+        e *= -a
+        np.maximum(e, -700.0, out=e)
+        np.exp(e, out=e)
+        e *= amp
+        if coord is None:
+            return e[:, :, None], p
+        perp_j *= e
+        return np.stack([perp_j, e * X[:, coord]], axis=2), p
+
     def ray(Z, x, r):
         y, _, e = _ray_exp(Z, x, r)
         if coord is not None:
@@ -615,6 +678,7 @@ def gaussian_bump(
         reach=float(np.linalg.norm(c)) + 7.0 / math.sqrt(a),
         ray=ray,
         ray_slope=ray_slope,
+        ray_split=RaySplit(a, 1 if coord is None else 2, split),
     )
 
 

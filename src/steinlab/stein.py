@@ -37,6 +37,7 @@ from .jumps import (
     _along_directions,
     _is_constant,
     _radial_rule,
+    _ray_tables,
     density_nu,
     density_tilde,
     jump_ball_chunk,
@@ -46,7 +47,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw, c_alpha_d, cauchy_c, convert_representation
-from .numerics import TestFunction, _ray_points, _simpson_rule
+from .numerics import TestFunction, _ray_points, _simpson_rule, _uniform_interval
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
 __all__ = [
@@ -144,12 +145,13 @@ def residual_id(
     mean_vec = convert_representation(law, "center_b1").shift
     dens = density_nu(kf)
     sphere = quad_sphere_for(law, n_dirs)
+    tables = _ray_tables("vector", f, dens)
 
     if use_known_mean:
 
         def per_chunk(Z):
             fz = np.asarray(f.evaluate(Z), dtype=float)
-            jump = jump_vector_chunk(f, Z, sphere, dens)
+            jump = jump_vector_chunk(f, Z, sphere, dens, tables=tables)
             return Z * fz[:, None] - mean_vec[None, :] * fz[:, None] - jump
 
         est = _chunked_mean(batch, per_chunk)
@@ -158,7 +160,7 @@ def residual_id(
 
     def per_chunk_terms(Z):
         fz = np.asarray(f.evaluate(Z), dtype=float)
-        jump = jump_vector_chunk(f, Z, sphere, dens)
+        jump = jump_vector_chunk(f, Z, sphere, dens, tables=tables)
         return np.concatenate([Z * fz[:, None], jump, Z, fz[:, None]], axis=1)
 
     raw = _chunked_mean(batch, per_chunk_terms)
@@ -196,11 +198,12 @@ def residual_stable_sub1(
     batch = sample_stable_law(law, n, seed)
     dens = density_nu(kf)
     sphere = quad_sphere_for(law, n_dirs)
+    tables = _ray_tables("raw", f, dens)
 
     def per_chunk(Z):
         g = np.asarray(f.gradient(Z), dtype=float)
         drift_term = ((Z - b0[None, :]) * g).sum(axis=1)
-        return drift_term - alpha * jump_raw_chunk(f, Z, sphere, dens)
+        return drift_term - alpha * jump_raw_chunk(f, Z, sphere, dens, tables=tables)
 
     est = _chunked_mean(batch, per_chunk)
     return SteinResidual(estimate=est, regime="stable_sub1", diagnostics={"b0": b0})
@@ -216,13 +219,14 @@ def _ball_residual(law, f, n, seed, n_dirs, regime, include_correction=True):
     batch = sample_stable_law(law, n, seed)
     dens = density_tilde(kf)  # coincides with k/r when alpha = 1
     sphere = quad_sphere_for(law, n_dirs)
+    tables = _ray_tables("ball", f, dens)
     corr_vec = k1 * mean_dir if include_correction else np.zeros_like(mean_dir)
 
     def per_chunk(Z):
         g = np.asarray(f.gradient(Z), dtype=float)
         drift_term = ((Z - b[None, :]) * g).sum(axis=1)
         asym = g @ corr_vec
-        return drift_term + asym - jump_ball_chunk(f, Z, sphere, dens)
+        return drift_term + asym - jump_ball_chunk(f, Z, sphere, dens, tables=tables)
 
     est = _chunked_mean(batch, per_chunk)
     diag = {"b": b, "k1_correction": corr_vec}
@@ -266,11 +270,12 @@ def residual_sd(
         batch = sample_stable_law(law, n, seed)
         dens = density_tilde(kf)
         sphere = quad_sphere_for(law, n_dirs)
+        tables = _ray_tables("raw", f, dens)
 
         def per_chunk(Z):
             g = np.asarray(f.gradient(Z), dtype=float)
             drift_term = ((Z - b0[None, :]) * g).sum(axis=1)
-            return drift_term - jump_raw_chunk(f, Z, sphere, dens)
+            return drift_term - jump_raw_chunk(f, Z, sphere, dens, tables=tables)
 
         est = _chunked_mean(batch, per_chunk)
         return SteinResidual(estimate=est, regime="sd_small_jump", diagnostics={"b0": b0})
@@ -294,11 +299,12 @@ def residual_sd_finite_mean_form(
     batch = sample_stable_law(law, n, seed)
     dens = density_nu(kf)
     sphere = quad_sphere_for(law, n_dirs)
+    tables = _ray_tables("grad_diff", f, dens)
 
     def per_chunk(Z):
         g = np.asarray(f.gradient(Z), dtype=float)
         mean_term = ((mean_vec[None, :] - Z) * g).sum(axis=1)
-        return mean_term + jump_grad_diff_chunk(f, Z, sphere, dens)
+        return mean_term + jump_grad_diff_chunk(f, Z, sphere, dens, tables=tables)
 
     est = _chunked_mean(batch, per_chunk)
     return SteinResidual(estimate=est, regime="sd_general", diagnostics={"mean": mean_vec})
@@ -476,11 +482,13 @@ class SteinSolution:
     _coef: Optional[np.ndarray] = None
 
     def _ensure_tables(self, s_needed: float):
+        """Tabulate to at least s_needed.  The knots are j ds for one fixed
+        ds, so a larger table extends the grid without moving a knot, and
+        values do not depend on which points were evaluated before."""
         if self._coef is not None and s_needed <= self._s_max:
             return
-        s_max = max(80.0, 1.25 * s_needed)
         ds = 0.015 / self.budget
-        s_grid = np.linspace(0.0, s_max, int(s_max / ds) + 2)
+        s_grid = ds * np.arange(int(math.ceil(max(80.0, 1.25 * s_needed) / ds)) + 1)
         n_t = self.t_nodes.size
         if _is_constant(self.h):
             # P_t h = h = E h for every t: flat profiles
@@ -491,20 +499,16 @@ class SteinSolution:
         bc = ((1, np.zeros(n_t)), "not-a-knot")
         self._coef = CubicSpline(s_grid, phi_rows, axis=1, bc_type=bc).c
         self._s_grid = s_grid
-        self._s_max = s_max
+        self._s_max = s_grid[-1]
 
     def _table(self, s, derivative: bool = False):
         """Phi_t(s), or Phi_t'(s), with row i of s looked up in row i of the
         table.  The interval and the sum c3 + c2 dx + c1 dx^2 + c0 dx^3 (for
         the derivative c2 + 2 c1 dx + 3 c0 dx^2) are those of scipy's PPoly,
         so the values equal the per-node splines' bit for bit."""
-        grid, coef = self._s_grid, self._coef
-        n_t, last = coef.shape[2], grid.size - 2
-        # the grid is uniform: floor(s / ds) is the interval up to one step
-        j = np.clip(np.floor(s / grid[1]), 0, last).astype(np.intp)
-        j -= s < grid[j]
-        j += (j < last) & (s >= grid[j + 1])
-        dx = s - grid[j]
+        coef = self._coef
+        n_t = coef.shape[2]
+        j, dx = _uniform_interval(self._s_grid, s)
         j *= n_t
         j += np.arange(n_t)[:, None]
         top = 2 if derivative else 3

@@ -17,8 +17,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from steinlab.dirichlet import _gamma1_integral_at, _quadrature_backed, _second_difference_double
+from steinlab import DomainError
+from steinlab.dirichlet import _gamma1_integral_at, _quadrature_backed, _second_difference_double, poincare_residual
 from steinlab.jumps import (
+    RAY_PER_OCTAVE,
+    _jump_product,
+    _ray_tables,
+    _table_values,
     density_nu,
     density_tilde,
     jump_ball_chunk,
@@ -28,9 +33,16 @@ from steinlab.jumps import (
     jump_vector_chunk,
     quad_sphere_for,
 )
-from steinlab.levy import c_alpha_d, cauchy_c, isotropic_stable_law, stable_k, tempered_k
-from steinlab.numerics import _ray_points, gaussian_bump, sphere_from_atoms, uniform_sphere
+from steinlab.levy import IDLaw, LevyPolar, c_alpha_d, cauchy_c, isotropic_stable_law, stable_k, tempered_k
+from steinlab.numerics import _ray_points, constant_fn, gaussian_bump, sphere_from_atoms, uniform_sphere
 from steinlab.sampling import sample_stable_law
+from steinlab.stein import (
+    residual_cauchy,
+    residual_id,
+    residual_sd,
+    residual_sd_finite_mean_form,
+    residual_stable_sub1,
+)
 
 F_A, F_C = 1.0, 0.3     # f = gaussian_bump(1, a=1, center=[0.3])
 G_A, G_C = 0.5, -0.4    # g, the second factor of the carre du champs
@@ -336,3 +348,112 @@ def test_engines_evaluate_only_the_sample_rows(run):
 
         run(replace(tf, evaluate=counting), Z, sphere, dens)
         assert (sum(rows) == Z.shape[0]) == fast, rows
+
+
+# ---------------------------------------------------------------------------
+# ray tables: each engine's integral as 1-D tables in p = <z - c, x>
+# ---------------------------------------------------------------------------
+
+TABLE_TOL = 1e-6        # of the largest value; cubic reads on knots 1/(32 sqrt(a)) apart reach 4.6e-7
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_ray_tables_match_the_resolved_engine(d, engine):
+    """Table reads against the engine at RAY_PER_OCTAVE, on samples with
+    far rows (which the engine takes); the coordinate bumps use the
+    square's cross table."""
+    run, alpha = ENGINES[engine]
+    law = isotropic_stable_law(alpha, d)
+    Z = sample_stable_law(law, 400, 21 + d).points
+    Z[: len(FAR_NORMS)] = _far_samples(d, len(FAR_NORMS), d)
+    sphere = quad_sphere_for(law, 12)
+    for measure in (density_nu, density_tilde):
+        dens = measure(law.levy.kf)
+        for f in _bumps(d).values():
+            got = run(f, Z, sphere, dens, tables=_ray_tables(engine, f, dens))
+            ref = run(f, Z, sphere, dens, per_octave=RAY_PER_OCTAVE)
+            assert _rel_err(got, ref) <= TABLE_TOL, (engine, f.name)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.5])
+def test_each_one_dimensional_table_matches_its_engine(a):
+    """Every table of a coordinate bump's profiles g_0, g_1, read between
+    the knots: the linear engines' two tables, and the square's (0, 0),
+    (0, 1) and (1, 1) tables, the middle one the product increment."""
+    f = gaussian_bump(1, a=a, coord=0)
+    g = f.ray_split.profiles()
+    P = np.random.default_rng(3).uniform(-30.0, 30.0, 300) / math.sqrt(a)
+    Z = P[:, None]
+    plus = sphere_from_atoms([[1.0]], [1.0])
+    for engine, (run, alpha) in ENGINES.items():
+        dens = density_nu(stable_k(alpha, c_alpha_d(alpha, 1)))
+        if engine == "square":
+            refs = [
+                run(g[0], Z, plus, dens, per_octave=RAY_PER_OCTAVE),
+                _jump_product(g[0], g[1], Z, plus, dens, 12, RAY_PER_OCTAVE),
+                run(g[1], Z, plus, dens, per_octave=RAY_PER_OCTAVE),
+            ]
+        else:
+            refs = [run(gk, Z, plus, dens, per_octave=RAY_PER_OCTAVE).reshape(-1) for gk in g]
+        got = _table_values(_ray_tables(engine, f, dens), P)
+        assert got.shape[0] == len(refs)
+        for col, ref in zip(got, refs):
+            assert _rel_err(col, ref) <= TABLE_TOL, engine
+
+
+FAR_POINTS = (-13.8, -15.4, 40.0, 44.4)   # ROADMAP item 2: the engine at 8 nodes per octave is 14-84% off here
+
+
+@pytest.mark.parametrize("inc", [k for k in INCREMENTS if k != "gamma"])
+def test_ray_tables_match_adaptive_quadrature_at_far_samples(inc):
+    """The table route, and the resolved engine it hands the farthest
+    samples to, against the quadrature oracle, 1e-3 relative."""
+    _, increment, vanish, power, profiles = INCREMENTS[inc]
+    run = ENGINES[inc][0]
+    Z = np.array(FAR_POINTS)[:, None]
+    for prof in profiles:
+        if PROFILES[prof].family != "stable":
+            continue  # a tempered density is e^-40 of its size this far out
+        for measure in MEASURES.values():
+            dens = measure(PROFILES[prof])
+            got = np.reshape(run(F, Z, SPHERE, dens, tables=_ray_tables(inc, F, dens)), -1)
+            ref = np.array([_reference(increment, vanish, power, dens, z) for z in FAR_POINTS])
+            assert np.all(np.abs(got - ref) <= 1e-3 * np.abs(ref)), (prof, got, ref)
+
+
+def _estimators(d):
+    law = isotropic_stable_law(1.5, d)
+    sub1 = IDLaw(np.zeros(1), LevyPolar(sphere_from_atoms([[1.0]], [1.0]), stable_k(0.5, 1.0)), "drift_b0")
+    n = 8192
+    return {
+        "residual_id": lambda f: residual_id(law, f, n, 5).estimate,
+        "residual_stable_sub1": lambda f: residual_stable_sub1(sub1, f, n, 5).estimate,
+        "residual_cauchy": lambda f: residual_cauchy(isotropic_stable_law(1.0, d), f, n, 5).estimate,
+        "residual_sd_small_jump": lambda f: residual_sd(isotropic_stable_law(0.7, d), "small_jump", f, n, 5).estimate,
+        "residual_sd_general": lambda f: residual_sd(law, "general", f, n, 5).estimate,
+        "residual_sd_finite_mean_form": lambda f: residual_sd_finite_mean_form(law, f, n, 5).estimate,
+        "poincare_residual": lambda f: poincare_residual(isotropic_stable_law(1.5, 2), f, n, 5, n_dirs=12),
+    }
+
+
+@pytest.mark.parametrize("estimator", list(_estimators(1)))
+def test_estimators_agree_with_and_without_the_tables(estimator):
+    """Same seed, the tables against replace(f, ray_split=None), which runs
+    the engine on every chunk: within 0.05 SE."""
+    d = 2 if estimator == "poincare_residual" else 1
+    run = _estimators(1)[estimator]
+    for f in (gaussian_bump(d, a=1.0, center=np.full(d, 0.3)), gaussian_bump(d, a=0.7, coord=0).scaled(1.4)):
+        assert f.ray_split is not None
+        fast, slow = run(f), run(replace(f, ray_split=None))
+        assert np.all(np.abs(np.asarray(fast.value) - slow.value) <= 0.05 * np.asarray(slow.std_error)), (fast, slow)
+
+
+def test_tables_are_built_only_for_a_ray_split_and_their_own_engine():
+    dens = density_nu(stable_k(1.5, c_alpha_d(1.5, 1)))
+    f = gaussian_bump(1, a=1.0)
+    assert _ray_tables("square", replace(f, ray_split=None), dens) is None
+    assert _ray_tables("square", constant_fn(0.5, 1), dens) is None
+    assert _ray_tables("square", f.product(f), dens) is None
+    with pytest.raises(DomainError):
+        jump_ball_chunk(f, np.zeros((3, 1)), SPHERE, dens, tables=_ray_tables("square", f, dens))

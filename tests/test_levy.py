@@ -382,3 +382,23 @@ class TestSymbols:
                 rho = symbol_rho_tilde(tn, xi, zeta)
                 sig = symbol_sigma_tilde(tn, xi, zeta)
                 assert rho == pytest.approx(alpha * sig, rel=1e-6, abs=1e-9)
+
+
+class TestAtomsOrthogonalToTheFrequency:
+    """uniform_sphere(2) holds the atom (6.1e-17, 1), orthogonal to
+    xi = (1, 0) up to rounding: its projection must act as a zero
+    frequency, and the oscillatory tails must stay bounded for small ones."""
+
+    def _near(self, fn):
+        at, off = fn(np.array([1.0, 0.0])), fn(np.array([1.0, 1e-7]))
+        assert np.isfinite(at.real) and np.isfinite(at.imag)
+        assert abs(at - off) <= 1e-6, (at, off)
+
+    def test_rho_tilde_of_the_isotropic_law(self):
+        law = isotropic_stable_law(1.5, 2)
+        tn = tilde_nu(law.levy.kf, law.levy.sphere)
+        self._near(lambda xi: symbol_rho_tilde(tn, xi, np.array([0.3, -1.2])))
+
+    def test_center_form_gamma_exponent(self):
+        law = IDLaw(np.zeros(2), LevyPolar(uniform_sphere(2, 8), gamma_k(2.0, 1.5)), "center_b1")
+        self._near(lambda xi: lk_exponent(law, xi))

@@ -392,3 +392,16 @@ class TestSteinTable:
 
     def test_gradient_is_gradient_consistent(self):
         assert SteinSolution.gradient is SteinSolution.gradient_consistent
+
+    def test_values_do_not_depend_on_earlier_evaluations(self):
+        """A far point extends the table; the knots stay at j ds, so nearer
+        values keep their digits."""
+        tf = gaussian_bump(1, a=1.0)
+        sol = stein_solve(isotropic_stable_law(1.5, 1), tf.scaled(1.0 / max(tf.m_bounds)), budget=1)
+        pts = np.array([[0.3], [1.7]])
+        before = sol.evaluate(pts)
+        knots = sol._s_grid.size
+        sol.evaluate(np.array([[100.0]]))
+        assert sol._s_grid.size > knots
+        after = sol.evaluate(pts)
+        assert np.all(np.abs(after - before) <= 1e-15 * np.abs(before)), (before, after)
