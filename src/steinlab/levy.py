@@ -9,15 +9,19 @@ Each built-in k-function has two radial densities, written once in
 the derived measure nu~, both of the form amp r^-p e^(-lam r) (1 + b r).
 A density carries its derivatives, one decay horizon, and one tail
 moment ``_tail_moment``; the jump quadrature of ``jumps`` uses the same
-densities.  The radial profile integrals all have the shape
+densities.  Every symbol is one profile sum ``_symbol``, the sphere's
+weights against the radial profile integral
 
-    int_0^inf phi(r s) rho(r) dr,   s = <direction, xi>,
+    int_0^inf phi(r s) rho(r) dr,   s = <atom, v>,
 
-and are evaluated on adaptive log grids with cancellation-safe phase
-functions, an analytic Taylor correction below the smallest node, and
-three-term integration-by-parts tails for the oscillatory part; pure
+of one phase phi; sigma~ and rho~ are the cocycles
+S(xi + zeta) - S(xi) - S(zeta) of the ball and the sigma profile sums of
+nu~.  Profiles are evaluated on adaptive log grids with cancellation-safe
+phase functions, an analytic Taylor correction below the smallest node,
+and three-term integration-by-parts tails for the oscillatory part; pure
 power-law profiles are reduced to cached base integrals at |s| = 1
-through exact scaling.
+through exact scaling, and the center form is the ball form less one
+tail moment.
 """
 
 from __future__ import annotations
@@ -473,13 +477,11 @@ def _osc_tail(A, rho, dens: RadialDensity, power: int):
     """int_A^inf e^{i r rho} r^power dens(r) dr.
 
     0 from the decay horizon on, where the density is e^-45 of its
-    amplitude; the tail moment for rho == 0; else three-term integration
-    by parts from B = max(A, 12 / |rho|), where |rho| B >= 12 makes it
-    hold, with the stretch (A, B) by quadrature."""
+    amplitude; else, for rho != 0, three-term integration by parts from
+    B = max(A, 12 / |rho|), where |rho| B >= 12 makes it hold, with the
+    stretch (A, B) by quadrature."""
     if A >= dens.horizon:
         return 0.0 + 0.0j
-    if rho == 0.0:
-        return complex(_tail_moment(dens, A, power))
     f = lambda r: np.exp(1j * r * rho) * r**power * dens.rho(r)
     B = min(max(A, 12.0 / abs(rho)), dens.horizon)
     head = 0.0 + 0.0j
@@ -504,9 +506,14 @@ def _projections(sphere, xi) -> np.ndarray:
     return s
 
 
-def _cutoff_A(dens: RadialDensity, s_abs, tol, for_rw=False):
-    p = dens.p - 1.0 if for_rw else dens.p
-    A = (dens.amp * max(p, 0.5) * (p + 1.0) / (tol * s_abs**3)) ** (1.0 / (p + 2.0))
+# floor of the panel-size denominators: a frequency whose square or cube
+# underflows takes the widest panels instead of dividing by zero
+_TINY = np.finfo(float).tiny
+
+
+def _cutoff_A(dens: RadialDensity, s_abs, tol, power: int):
+    p = dens.p - power
+    A = (dens.amp * max(p, 0.5) * (p + 1.0) / max(tol * s_abs**3, _TINY)) ** (1.0 / (p + 2.0))
     # beyond the decay horizon the density is numerically zero, and the
     # tail past a cap there is dropped
     return min(max(16.0, 12.0 / s_abs, A), dens.horizon)
@@ -519,8 +526,12 @@ def _profile_generic(s: float, dens: RadialDensity, mode: str, tol: float = 1e-1
     sa = abs(s)
     p0, c0 = dens.p, dens.amp
 
-    # small panel (r_lo, 1], fully compensated phase where needed
-    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / (c0 * sa**2)) ** (1.0 / (3.0 - p0)))
+    # small panel (r_lo, 1], fully compensated phase where needed; the
+    # analytic correction leaves the next Taylor term, s^3 r^(4 - p0), which
+    # is far below rounding at r_lo = 1e-100, where rho(r_lo) is still
+    # finite (the unfloored r_lo underflows as alpha -> 2)
+    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / max(c0 * sa**2, _TINY)) ** (1.0 / (3.0 - p0)))
+    r_lo = max(r_lo, 1e-100)
     m1 = c0 * r_lo ** (2.0 - p0) / (2.0 - p0) if p0 < 2.0 else None
     m2 = c0 * r_lo ** (3.0 - p0) / (3.0 - p0)
 
@@ -529,7 +540,7 @@ def _profile_generic(s: float, dens: RadialDensity, mode: str, tol: float = 1e-1
         if m1 is None:
             raise RegimeError("raw-mode profile diverges at small radii for this weight")
         small_corr = 1j * s * m1 - 0.5 * s * s * m2
-    elif mode in ("full", "ball"):
+    elif mode == "ball":
         small_phase = _cphi_full
         small_corr = -0.5 * s * s * m2
     elif mode == "sigma":
@@ -541,30 +552,22 @@ def _profile_generic(s: float, dens: RadialDensity, mode: str, tol: float = 1e-1
     small = _log_quad_complex(r_lo, 1.0, 1.0 / 48.0, lambda r: small_phase(r * s) * dens.rho(r))
     small += small_corr
 
-    # big panel (1, A] in octaves, oscillation-resolving node density
-    sigma_mode = mode == "sigma"
-    A = _cutoff_A(dens, sa, tol, for_rw=sigma_mode)
+    # big panel (1, A] in octaves, oscillation-resolving node density; the
+    # sigma phase i r s (e^{irs} - 1) carries one more power of r
+    power = 1 if mode == "sigma" else 0
+    if power:
+        big_f = lambda r: 1j * r * s * _cphi_raw(r * s) * dens.rho(r)
+    else:
+        big_f = lambda r: _cphi_raw(r * s) * dens.rho(r)
+    A = _cutoff_A(dens, sa, tol, power)
     big = 0.0 + 0.0j
-    rw_int = 0.0
     lo = 1.0
     while lo < A:
         hi = min(2.0 * lo, A)
-        du = min(1.0 / 48.0, 2.0 * math.pi / (10.0 * sa * hi))
-        if sigma_mode:
-            big += _log_quad_complex(lo, hi, du, lambda r: 1j * r * s * _cphi_raw(r * s) * dens.rho(r))
-        else:
-            big += _log_quad_complex(lo, hi, du, lambda r: _cphi_raw(r * s) * dens.rho(r))
-        if mode == "full":
-            rw_int += _log_quad_complex(lo, hi, 1.0 / 48.0, lambda r: r * dens.rho(r)).real
+        big += _log_quad_complex(lo, hi, min(1.0 / 48.0, 2.0 * math.pi / (10.0 * sa * hi)), big_f)
         lo = hi
-
-    if sigma_mode:
-        tail = 1j * s * (_osc_tail(A, s, dens, 1) - _tail_moment(dens, A, 1))
-        return small + big + tail
-    tail = _osc_tail(A, s, dens, 0) - _tail_moment(dens, A, 0)
-    if mode == "full":
-        tail += -1j * s * (rw_int + _tail_moment(dens, A, 1))
-    return small + big + tail
+    tail = _osc_tail(A, s, dens, power) - _tail_moment(dens, A, power)
+    return small + big + (1j * s * tail if power else tail)
 
 
 _BASE_CACHE: dict = {}
@@ -575,9 +578,12 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
 
     Exact power-law weights are reduced by scaling to cached base values
     at |s| = 1; other families are integrated frequency by frequency.
+    The center form 'full' is the ball form less i s int_1^inf r rho dr.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     dens = _density(kf, kind)
+    if mode == "full":
+        return _profile(s_values, kf, kind, "ball", tol) - 1j * s_values * _tail_moment(dens, 1.0, 1)
     out = np.zeros(s_values.shape, dtype=complex)
     nz = s_values != 0.0
     if not nz.any():
@@ -607,6 +613,14 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
 _MODE_BY_REP = {"triplet_b": "ball", "drift_b0": "raw", "center_b1": "full"}
 
 
+def _symbol(sphere: SphericalGrid, kf: KFunction, kind: str, mode: str, v, tol: float):
+    """sum_j w_j profile(<atom_j, v>), checked for finiteness."""
+    vals = _profile(_projections(sphere, v), kf, kind, mode, tol)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("radial profile integral returned non-finite values")
+    return np.dot(sphere.weights, vals)
+
+
 # ---------------------------------------------------------------------------
 # exponents, characteristic functions, representations
 # ---------------------------------------------------------------------------
@@ -618,16 +632,9 @@ def lk_exponent(law: IDLaw, xi, tol: float = 1e-10) -> complex:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (law.dim,):
         raise DomainError(f"xi must have shape ({law.dim},)")
-    mode = _MODE_BY_REP[law.rep]
-    if mode == "raw" and not law.levy.small_jump_first_moment:
-        raise RegimeError("drift-form exponent diverges in the small-jump regime")
-    if mode == "full" and not law.levy.tail_first_moment:
-        raise RegimeError("center-form exponent diverges in the big-jump regime")
-    s = _projections(law.levy.sphere, xi)
-    vals = _profile(s, law.levy.kf, "nu", mode, tol)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("radial profile integral returned non-finite values")
-    return complex(1j * float(law.shift @ xi) + np.dot(law.levy.sphere.weights, vals))
+    # IDLaw admits a representation only where its compensator converges
+    vals = _symbol(law.levy.sphere, law.levy.kf, "nu", _MODE_BY_REP[law.rep], xi, tol)
+    return complex(1j * float(law.shift @ xi) + vals)
 
 
 def char_fn(law: IDLaw, xi, tol: float = 1e-10) -> complex:
@@ -680,16 +687,14 @@ def symbol_sigma_nu(law: IDLaw, xi, tol: float = 1e-10) -> complex:
     """One-frequency symbol int i<u,xi> (e^{i<u,xi>} - 1) nu(du)."""
     if not law.levy.tail_first_moment:
         raise RegimeError("sigma_nu needs an integrable big-jump tail")
-    xi = np.asarray(xi, dtype=float)
-    s = _projections(law.levy.sphere, xi)
-    vals = _profile(s, law.levy.kf, "nu", "sigma", tol)
-    return complex(np.dot(law.levy.sphere.weights, vals))
+    return complex(_symbol(law.levy.sphere, law.levy.kf, "nu", "sigma", xi, tol))
 
 
-def _eta_ball_tilde(tnu: TildeNu, v, tol):
-    s = _projections(tnu.sphere, v)
-    vals = _profile(s, tnu.kf, "tilde", "ball", tol)
-    return np.dot(tnu.sphere.weights, vals)
+def _cocycle(tnu: TildeNu, mode: str, xi, zeta, tol: float) -> complex:
+    """S(xi + zeta) - S(xi) - S(zeta) for the nu~ profile sum S of one mode."""
+    xi, zeta = np.asarray(xi, dtype=float), np.asarray(zeta, dtype=float)
+    S = lambda v: _symbol(tnu.sphere, tnu.kf, "tilde", mode, v, tol)
+    return complex(S(xi + zeta) - S(xi) - S(zeta))
 
 
 def symbol_sigma_tilde(tnu: TildeNu, xi, zeta, tol: float = 1e-10) -> complex:
@@ -698,51 +703,24 @@ def symbol_sigma_tilde(tnu: TildeNu, xi, zeta, tol: float = 1e-10) -> complex:
     Any common compensator cancels in the three-term combination, so each
     piece is evaluated in the unit-ball-compensated form (convergent for
     every admissible profile)."""
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    return complex(
-        _eta_ball_tilde(tnu, xi + zeta, tol)
-        - _eta_ball_tilde(tnu, xi, tol)
-        - _eta_ball_tilde(tnu, zeta, tol)
-    )
-
-
-def _rho_ray(s: float, t: float, dens: RadialDensity, tol: float) -> complex:
-    """int_0^inf i r t e^{i r t} (e^{i r s} - 1) rho(r) dr."""
-    if t == 0.0 or s == 0.0:
-        return 0.0 + 0.0j
-    p0, c0 = dens.p, dens.amp
-    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / (c0 * abs(s) * abs(t))) ** (1.0 / (3.0 - p0)))
-    m2 = c0 * r_lo ** (3.0 - p0) / (3.0 - p0)
-    f = lambda r: 1j * r * t * np.exp(1j * r * t) * _cphi_raw(r * s) * dens.rho(r)
-    small = _log_quad_complex(r_lo, 1.0, 1.0 / 48.0, f) - s * t * m2
-    smax = max(abs(s), abs(t), abs(s + t), 1e-6)
-    A = _cutoff_A(dens, smax, tol, for_rw=True)
-    big = 0.0 + 0.0j
-    lo = 1.0
-    while lo < A:
-        hi = min(2.0 * lo, A)
-        du = min(1.0 / 48.0, 2.0 * math.pi / (10.0 * smax * hi))
-        big += _log_quad_complex(lo, hi, du, f)
-        lo = hi
-    tail = 1j * t * (_osc_tail(A, s + t, dens, 1) - _osc_tail(A, t, dens, 1))
-    return small + big + tail
+    return _cocycle(tnu, "ball", xi, zeta, tol)
 
 
 def symbol_rho_tilde(tnu: TildeNu, xi, zeta, tol: float = 1e-10) -> complex:
     """Symmetrized cross symbol
-    int i<u,zeta> e^{i<u,zeta>} (e^{i<u,xi>} - 1) dnu~  + (xi <-> zeta)."""
-    if not tnu.kf.tail_integrable and tnu.kf.family == "stable" and tnu.kf.alpha <= 1.0:
+    int i<u,zeta> e^{i<u,zeta>} (e^{i<u,xi>} - 1) dnu~  + (xi <-> zeta).
+
+    With a = <u,xi>, b = <u,zeta> and g(v) = i v (e^{iv} - 1), the
+    integrand is pointwise
+
+        i b e^{ib} (e^{ia} - 1) + i a e^{ia} (e^{ib} - 1) = g(a + b) - g(a) - g(b),
+
+    so rho~ is the cocycle of the sigma profile sum
+    Sigma(v) = int i<u,v> (e^{i<u,v>} - 1) dnu~, which converges when the
+    big jumps of nu~ have a first moment."""
+    if not tnu.kf.tail_integrable:
         raise RegimeError("rho symbol diverges for stable profiles with alpha <= 1")
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    dens = _density(tnu.kf, "tilde")
-    s = _projections(tnu.sphere, xi)
-    t = _projections(tnu.sphere, zeta)
-    total = 0.0 + 0.0j
-    for sj, tj, wj in zip(s, t, tnu.sphere.weights):
-        total += wj * (_rho_ray(float(sj), float(tj), dens, tol) + _rho_ray(float(tj), float(sj), dens, tol))
-    return complex(total)
+    return _cocycle(tnu, "sigma", xi, zeta, tol)
 
 
 def normalization_check(alpha: float, d: int, n_atoms: Optional[int] = None) -> float:

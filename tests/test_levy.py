@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from steinlab import DomainError, RegimeError
+from steinlab import DomainError, EvaluationError, RegimeError, levy
 from steinlab.levy import (
     IDLaw,
     KFunction,
@@ -402,3 +404,134 @@ class TestAtomsOrthogonalToTheFrequency:
     def test_center_form_gamma_exponent(self):
         law = IDLaw(np.zeros(2), LevyPolar(uniform_sphere(2, 8), gamma_k(2.0, 1.5)), "center_b1")
         self._near(lambda xi: lk_exponent(law, xi))
+
+
+def _ray_rho_tilde(s, t, dens):
+    """Per-ray rho~ integrand, i t r e^{itr} (e^{isr} - 1) + (s <-> t),
+    integrated by scipy.integrate.quad over (0, horizon) in unit pieces,
+    real and imaginary parts taken separately."""
+    from scipy import integrate
+
+    em1 = lambda th: -2.0 * np.sin(th / 2.0) ** 2 + 1j * np.sin(th)
+    f = lambda r: (
+        1j * t * r * np.exp(1j * t * r) * em1(s * r) + 1j * s * r * np.exp(1j * s * r) * em1(t * r)
+    ) * float(dens.rho(r))
+    edges = np.concatenate([[0.0], np.arange(1.0, dens.horizon), [dens.horizon]])
+    parts = []
+    for part in (np.real, np.imag):
+        parts.append(
+            sum(
+                integrate.quad(lambda r: float(part(f(r))), lo, hi, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+                for lo, hi in zip(edges[:-1], edges[1:])
+            )
+        )
+    return complex(parts[0], parts[1])
+
+
+class TestRhoTilde:
+    """rho~ is the sigma-profile cocycle of nu~; checked against a quad
+    oracle of its defining integrand and against the stable identity."""
+
+    @pytest.mark.parametrize("xi, zeta", [(0.7, -1.3), (2.1, 0.4)])
+    @pytest.mark.parametrize(
+        "kf", [tempered_k(0.8, 0.5, 1.0), tempered_k(1.5, 0.3, 0.5), gamma_k(1.0, 2.0)], ids=["t0.8", "t1.5", "gamma"]
+    )
+    def test_matches_quad_oracle(self, kf, xi, zeta):
+        from steinlab.levy import density_tilde
+
+        sphere = uniform_sphere(1)
+        dens = density_tilde(kf)
+        ref = sum(w * _ray_rho_tilde(a[0] * xi, a[0] * zeta, dens) for a, w in zip(sphere.atoms, sphere.weights))
+        val = symbol_rho_tilde(tilde_nu(kf, sphere), np.array([xi]), np.array([zeta]))
+        assert val == pytest.approx(ref, rel=1e-8)
+
+    def test_stable_alpha_at_most_one_is_rejected(self):
+        tn = tilde_nu(stable_k(0.9, 1.0), uniform_sphere(1))
+        with pytest.raises(RegimeError):
+            symbol_rho_tilde(tn, np.array([0.7]), np.array([0.3]))
+
+
+class TestProfileEdges:
+    """Inputs at which the small panel's start radius underflowed."""
+
+    @pytest.mark.parametrize("alpha", [1.95, 1.99])
+    def test_stable_symbols_near_alpha_two(self, alpha):
+        # r_lo = (2 tol (3 - p) / (c s^2))^(1 / (2 - alpha)) fell below 1e-105
+        law = isotropic_stable_law(alpha, 1)
+        tn = tilde_nu(law.levy.kf, law.levy.sphere)
+        xi, zeta = np.array([1.0]), np.array([0.4])
+        assert normalization_check(alpha, 1) < 1e-9
+        assert symbol_sigma_nu(law, xi) == pytest.approx(-alpha / 2.0, rel=1e-9)
+        closed = (alpha / 2.0) * (1.0 + 0.4**alpha - 1.4**alpha)
+        assert symbol_sigma_tilde(tn, xi, zeta) == pytest.approx(closed, rel=1e-9)
+        assert symbol_rho_tilde(tn, xi, zeta) == pytest.approx(alpha * closed, rel=1e-9)
+
+    def test_tempered_exponent_at_frequencies_whose_cube_underflows(self):
+        # below |s| ~ 1e-105, tol s^3 is 0; the exponent is linear in xi there
+        sphere = sphere_from_atoms([[0.3, 1.0], [1.0, -0.2]], [1.0, 1.0])
+        law = IDLaw(np.zeros(2), LevyPolar(sphere, tempered_k(0.8, 0.5, 1.0)), "triplet_b")
+        ref = lk_exponent(law, np.array([0.0, 1e-90])) / 1e-90
+        for t in (1e-110, 3e-162):
+            assert lk_exponent(law, np.array([0.0, t])) / t == pytest.approx(ref, rel=1e-12)
+
+
+_FREQ = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+
+
+def _stable_tilde(alpha, d):
+    law = isotropic_stable_law(alpha, d, n_atoms=64 if d == 3 else None)
+    return tilde_nu(law.levy.kf, law.levy.sphere)
+
+
+class TestSymbolProperties:
+    @given(alpha=st.floats(1.05, 1.95), d=st.sampled_from([1, 2, 3]), xs=_FREQ, zs=_FREQ)
+    def test_rho_is_alpha_sigma_and_symmetric_for_stable(self, alpha, d, xs, zs):
+        tn = _stable_tilde(alpha, d)
+        xi, zeta = np.array(xs[:d]), np.array(zs[:d])
+        rho = symbol_rho_tilde(tn, xi, zeta)
+        # |xi|^alpha + |zeta|^alpha + |xi + zeta|^alpha, the scale of the
+        # cocycle's three terms, which cancel in rho~
+        norms = [math.hypot(*v) for v in (xi, zeta, xi + zeta)]
+        scale = sum(n**alpha for n in norms)
+        # sigma~ sums ball profiles, whose compensator i s amp / (alpha - 1)
+        # cancels in the cocycle only to rounding: at tiny frequencies that
+        # rounding, not the 1e-9, bounds the agreement
+        amp, mass = tn.kf.alpha * tn.kf.c, float(tn.sphere.weights.sum())
+        ball_rounding = np.finfo(float).eps * amp * mass * sum(norms) / (alpha - 1.0)
+        assert abs(rho - alpha * symbol_sigma_tilde(tn, xi, zeta)) <= 1e-9 * scale + ball_rounding + 1e-300
+        assert abs(rho - symbol_rho_tilde(tn, zeta, xi)) <= 1e-14 * scale + 1e-300
+
+    @given(
+        family=st.sampled_from(["tempered", "gamma", "stable"]),
+        seed=st.integers(0, 2**32 - 1),
+        xs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    )
+    def test_center_triplet_round_trip(self, family, seed, xs):
+        rng = np.random.default_rng(seed)
+        kf = {"tempered": tempered_k(0.8, 0.5, 1.0), "gamma": gamma_k(1.0, 2.0), "stable": stable_k(1.5, 0.3)}[family]
+        sphere = sphere_from_atoms(rng.normal(size=(4, 2)), rng.uniform(0.2, 1.0, 4))
+        law = IDLaw(rng.normal(size=2), LevyPolar(sphere, kf), "triplet_b")
+        xi = np.array(xs)
+        ref = lk_exponent(law, xi)
+        val = lk_exponent(convert_representation(law, "center_b1"), xi)
+        assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def _one_atom_tilde():
+    return tilde_nu(stable_k(1.5, 0.3), uniform_sphere(1))
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        lambda: lk_exponent(one_atom_law(1.5), np.array([0.7])),
+        lambda: symbol_sigma_nu(one_atom_law(1.5), np.array([0.7])),
+        lambda: symbol_sigma_tilde(_one_atom_tilde(), np.array([0.7]), np.array([0.3])),
+        lambda: symbol_rho_tilde(_one_atom_tilde(), np.array([0.7]), np.array([0.3])),
+    ],
+    ids=["lk_exponent", "sigma_nu", "sigma_tilde", "rho_tilde"],
+)
+def test_every_symbol_rejects_non_finite_profiles(monkeypatch, symbol):
+    monkeypatch.setattr(levy, "_profile", lambda s, *args, **kw: np.full(np.shape(s), complex(np.nan)))
+    with pytest.raises(EvaluationError):
+        symbol()
