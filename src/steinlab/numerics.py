@@ -521,15 +521,21 @@ class RaySplit(NamedTuple):
         return [gaussian_bump(1, self.a, coord=None if k == 0 else 0) for k in range(self.n)]
 
 
-def _uniform_interval(knots, s):
-    """Interval j of s on uniform knots, clamped to the first and last
-    interval, and the offset s - knots[j].  floor((s - knots[0]) / step)
-    finds j up to one step; the knots themselves settle it."""
+def _knot_interval(knots, s, guess):
+    """Interval j of s on increasing knots, clamped to the first and last
+    interval, and the offset s - knots[j].  floor(guess) may miss j by one
+    interval either way; the knots themselves settle it, so j is the
+    interval scipy's PPoly picks."""
     last = knots.size - 2
-    j = np.clip(np.floor((s - knots[0]) / (knots[1] - knots[0])), 0, last).astype(np.intp)
+    j = np.clip(np.floor(guess), 0, last).astype(np.intp)
     j -= (j > 0) & (s < knots[j])
     j += (j < last) & (s >= knots[j + 1])
     return j, s - knots[j]
+
+
+def _uniform_interval(knots, s):
+    """``_knot_interval`` on uniform knots, guessed as (s - knots[0]) / step."""
+    return _knot_interval(knots, s, (s - knots[0]) / (knots[1] - knots[0]))
 
 
 def _ray_points(Z, x, r) -> np.ndarray:

@@ -19,6 +19,9 @@ the Stein equation are time integrals of this kernel.  Each solution keeps
 one table of the profiles Phi_t, as the coefficients of a cubic spline in
 |y| per time node, and reads values and gradients off it in one gathered
 lookup: P_t(grad h)(x) = y Lambda_t(|y|) with Lambda_t(s) = Phi_t'(s) / s.
+The spline knots come in two zones: uniform near the bump, where Phi_t
+varies on the bump's own scale, and log-uniform beyond s = 16, where it
+varies on the scale of s.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw, c_alpha_d, cauchy_c, convert_representation
-from .numerics import TestFunction, _ray_points, _simpson_rule, _uniform_interval
+from .numerics import TestFunction, _knot_interval, _ray_points, _simpson_rule
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
 __all__ = [
@@ -453,6 +456,12 @@ def semigroup_apply(
 # ---------------------------------------------------------------------------
 
 
+# The Stein tables' knots: j ds (ds = 0.015 / budget) up to the first
+# knot S0 = n0 ds at or past _NEAR_S, then S0 e^{k _TAIL_DU}.
+_NEAR_S = 16.0
+_TAIL_DU = 0.01
+
+
 def _time_rule(hint: float, budget: int):
     t0 = 1e-4
     t, w = _simpson_rule(t0, math.log(1e10) / hint, 192 * budget + 1, log=True)
@@ -466,8 +475,11 @@ class SteinSolution:
 
     One table holds the profile Phi_t(s) = P_t h(x) at s = |e^{-t} x - c|
     for every time node: the coefficients of a cubic spline in s per node,
-    in one (4, n_s - 1, n_t) array.  The gradient reads the same table, as
-    P_t(grad h)(x) = y Lambda_t(|y|) with Lambda_t(s) = Phi_t'(s) / s."""
+    in one (4, n_s - 1, n_t) array.  The knots are uniform, j ds, out to
+    S0 = n0 ds, the first of them at or past 16, and log-uniform,
+    S0 e^{k du}, beyond it (see ``_ensure_tables``).  The gradient reads
+    the same table, as P_t(grad h)(x) = y Lambda_t(|y|) with
+    Lambda_t(s) = Phi_t'(s) / s."""
 
     h: TestFunction
     law: IDLaw
@@ -481,14 +493,27 @@ class SteinSolution:
     _s_grid: Optional[np.ndarray] = None
     _coef: Optional[np.ndarray] = None
 
+    def _zones(self):
+        """(ds, n0): the uniform zone's step and the index of its last knot."""
+        ds = 0.015 / self.budget
+        return ds, math.ceil(_NEAR_S / ds)
+
     def _ensure_tables(self, s_needed: float):
-        """Tabulate to at least s_needed.  The knots are j ds for one fixed
-        ds, so a larger table extends the grid without moving a knot, and
-        values do not depend on which points were evaluated before."""
+        """Tabulate to at least max(80, 1.25 s_needed), on knots in two
+        zones: j ds for j <= n0, with ds = 0.015 / budget, and
+        S0 e^{k du} for k >= 1, with S0 = n0 ds and du = 0.01.  Near the
+        bump Phi_t varies on the bump's scale; past S0 it varies on the
+        scale of s, so the log step holds the same accuracy with a tenth
+        of the knots.  Every knot is fixed by its index, so a larger table
+        appends tail knots without moving one, and values do not depend on
+        which points were evaluated before."""
         if self._coef is not None and s_needed <= self._s_max:
             return
-        ds = 0.015 / self.budget
-        s_grid = ds * np.arange(int(math.ceil(max(80.0, 1.25 * s_needed) / ds)) + 1)
+        ds, n0 = self._zones()
+        s0 = n0 * ds
+        n_tail = math.ceil(math.log(max(80.0, 1.25 * s_needed) / s0) / _TAIL_DU)
+        tail = [s0 * math.exp(_TAIL_DU * k) for k in range(1, n_tail + 1)]
+        s_grid = np.concatenate([ds * np.arange(n0 + 1), tail])
         n_t = self.t_nodes.size
         if _is_constant(self.h):
             # P_t h = h = E h for every t: flat profiles
@@ -503,12 +528,20 @@ class SteinSolution:
 
     def _table(self, s, derivative: bool = False):
         """Phi_t(s), or Phi_t'(s), with row i of s looked up in row i of the
-        table.  The interval and the sum c3 + c2 dx + c1 dx^2 + c0 dx^3 (for
-        the derivative c2 + 2 c1 dx + 3 c0 dx^2) are those of scipy's PPoly,
-        so the values equal the per-node splines' bit for bit."""
+        table.  The interval is guessed per zone, as floor(s / ds) below S0
+        and n0 + floor(log(s / S0) / du) past it, and settled on the knots;
+        it and the sum c3 + c2 dx + c1 dx^2 + c0 dx^3 (for the derivative
+        c2 + 2 c1 dx + 3 c0 dx^2) are those of scipy's PPoly, so the values
+        equal the per-node splines' bit for bit."""
         coef = self._coef
         n_t = coef.shape[2]
-        j, dx = _uniform_interval(self._s_grid, s)
+        ds, n0 = self._zones()
+        s0 = n0 * ds
+        guess = s / ds
+        far = s > s0
+        if far.any():
+            guess[far] = n0 + np.log(s[far] / s0) / _TAIL_DU
+        j, dx = _knot_interval(self._s_grid, s, guess)
         j *= n_t
         j += np.arange(n_t)[:, None]
         top = 2 if derivative else 3

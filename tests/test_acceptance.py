@@ -307,4 +307,6 @@ def test_criterion_11_reproducibility(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         payloads.append(json.dumps(json.loads(out.read_text())["payload"], sort_keys=True))
     with capsys.disabled():
-        _report(11, "identical config+seed gives byte-identical payloads across thread counts", payloads[0] == payloads[1])
+        # no code in src/ reads STEINLAB_THREADS, so the two runs differ only
+        # in the variable: what this checks is rerun determinism
+        _report(11, "rerunning an identical config+seed gives a byte-identical payload", payloads[0] == payloads[1])

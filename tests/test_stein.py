@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from steinlab import DomainError, RegimeError, UnsupportedFamilyError
+from steinlab import DomainError, RegimeError, UnsupportedFamilyError, stein
 from steinlab.levy import (
     IDLaw,
     LevyPolar,
@@ -377,12 +377,19 @@ class TestSteinTable:
         sol = stein_solve(isotropic_stable_law(1.5, 1), tf.scaled(1.0 / max(tf.m_bounds)))
         sol._ensure_tables(10.0)
         grid, n_t = sol._s_grid, sol.t_nodes.size
+        ds, n0 = sol._zones()
+        s0 = grid[n0]
+        # both zones are present: j ds up to S0, then a log step of 0.01
+        assert np.array_equal(grid[: n0 + 1], ds * np.arange(n0 + 1)) and grid.size > n0 + 100
+        assert np.allclose(np.diff(np.log(grid[n0:])), 0.01, rtol=1e-9, atol=0.0)
         # floor(s / ds) lands one interval off at some knots (3 ds) and just
-        # below others (65 ds); the first 400 knots hold both kinds
-        knots = np.concatenate([grid[1:400], grid[-3:-1]])
-        fixed = np.concatenate([[0.0, grid[-1]], knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
+        # below others (65 ds); the first 400 knots hold both kinds.  Past S0
+        # the interval is guessed from log(s / S0): every tail knot is read
+        knots = np.concatenate([grid[1:400], grid[n0 - 2 :]])
+        fixed = np.concatenate([[0.0, s0], knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
         between = rng.uniform(0.0, grid[-1], size=(n_t, 40))
-        s = np.concatenate([np.broadcast_to(fixed, (n_t, fixed.size)), between], axis=1)
+        past = rng.uniform(s0, grid[-1], size=(n_t, 40))
+        s = np.concatenate([np.broadcast_to(fixed, (n_t, fixed.size)), between, past], axis=1)
         value, slope = sol._table(s), sol._table(s, derivative=True)
         for i, row in enumerate(made["phi"]):
             spline = CubicSpline(grid, row, bc_type=((1, 0.0), "not-a-knot"))
@@ -390,12 +397,44 @@ class TestSteinTable:
             assert np.array_equal(value[i], spline(s[i]))
             assert np.array_equal(slope[i], spline.derivative()(s[i]))
 
+    @pytest.mark.parametrize("alpha,d", [(0.5, 1), (1.5, 2)])
+    def test_tail_zone_matches_direct_profiles(self, alpha, d):
+        """Off-knot reads past S0, at midpoints between tail knots and at
+        random points, against the profiles computed there directly.
+        Budget 2 keeps the whole table (s <= 187.5) clear of the rho rule's
+        aliases, which sit near s = 124 budget."""
+        tf = gaussian_bump(d, a=1.0)
+        h = tf.scaled(1.0 / max(tf.m_bounds))
+        sol = stein_solve(isotropic_stable_law(alpha, d), h, budget=2)
+        sol._ensure_tables(150.0)
+        grid, n0 = sol._s_grid, sol._zones()[1]
+        tail = grid[n0:]
+        mids = np.sqrt(tail[:-1] * tail[1:])[::8]
+        rng = np.random.default_rng(11)
+        s = np.concatenate([mids, rng.uniform(grid[n0], grid[-1], size=24)])
+        direct = stein._pt_tables(h, alpha, d, sol.t_nodes, s, 2)
+        read = sol._table(np.broadcast_to(s, (sol.t_nodes.size, s.size)))
+        # the profiles' maxima, at s = 0 for a centred bump
+        scale = np.max(np.abs(sol._coef[3]), axis=0)
+        assert np.all(np.abs(read - direct) <= 1e-9 * scale[:, None])
+
+    def test_table_memory_stays_small(self):
+        """The c5 case with the farthest reach (alpha 0.5, budget 2) keeps
+        its coefficients within 40 MB; on uniform knots it took 267 MB."""
+        law = isotropic_stable_law(0.5, 1)
+        tf = gaussian_bump(1, a=1.0)
+        sol = stein_solve(law, tf.scaled(1.0 / max(tf.m_bounds)), budget=2)
+        pts = np.linspace(-2.0, 2.0, 11)[:, None]
+        verify_stein_solution(law, sol, pts, budget=2)
+        assert sol._coef.nbytes <= 40e6, sol._coef.nbytes
+
     def test_gradient_is_gradient_consistent(self):
         assert SteinSolution.gradient is SteinSolution.gradient_consistent
 
     def test_values_do_not_depend_on_earlier_evaluations(self):
-        """A far point extends the table; the knots stay at j ds, so nearer
-        values keep their digits."""
+        """A far point extends the table; the knots are j ds near the bump
+        and S0 e^{k du} past S0, each fixed by its index, so the extension
+        only appends tail knots and nearer values keep their digits."""
         tf = gaussian_bump(1, a=1.0)
         sol = stein_solve(isotropic_stable_law(1.5, 1), tf.scaled(1.0 / max(tf.m_bounds)), budget=1)
         pts = np.array([[0.3], [1.7]])
