@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import j0
 
-from ._errors import DomainError, RegimeError, UnsupportedFamilyError
+from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
 from .jumps import (
     _cutoff,
     _is_constant,
@@ -226,7 +227,24 @@ def _second_difference_double(law, f, X, n_small=12, per_octave=8):
 
 def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
     """Inverse transform of the closed two-frequency symbol of the second
-    iterate, for the rotationally invariant stable law."""
+    iterate, for the rotationally invariant stable law.
+
+    In d = 2, with F(f)(xi) = G(|xi|) e^{-i<xi, c>} and s = |x - c|, the
+    common rotation of the two frequencies integrates to 2 pi J0(kappa s),
+    and the rest is summed over radius pairs P <= T and angles in [0, pi]:
+
+        (2 pi)^-4 4 pi sum_{P <= T} m_PT G_P P w_P G_T T w_T
+            int_0^pi g2(P, T, delta) J0(kappa s) d delta,
+
+    kappa^2 = P^2 + T^2 + 2 P T cos delta, m_PT = 2 for P < T and 1 for
+    P = T.  Both folds are exact on the grids.  The integrand sees delta
+    only through cos delta, so it is even about pi, and on such an
+    integrand the 257-node Simpson rule on [0, 2 pi] sums to twice the
+    129-node rule on [0, pi] (same step; the middle node's weight 2 is twice
+    an end weight).  kappa and g2 are symmetric in P and T, and so are the
+    radial weights."""
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
     x = np.asarray(x, dtype=float)
     if d == 1:
         if f.fourier is None:
@@ -241,29 +259,30 @@ def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
         val = np.einsum(
             "i,j,i,j,ij->", Fxi * phase, Fxi * phase, w, w, g2
         ) / (2.0 * math.pi) ** 2
-        return float(np.real(val))
-    if d == 2:
+        val = float(np.real(val))
+    elif d == 2:
         if f.radial_fourier is None or f.fourier_center is None:
             raise DomainError("the planar symbol route needs a radially shifted bump")
         s = float(np.linalg.norm(x - f.fourier_center))
         rho, w_rho = _simpson_rule(0.0, 14.0, 385)
-        delta, w_delta = _simpson_rule(0.0, 2.0 * math.pi, 257)
-        G = np.real(np.asarray(f.radial_fourier(rho), dtype=complex))
-        P, T = np.meshgrid(rho, rho, indexing="ij")
-        # invariants of the angle loop, in the grouping the loop body adds them with
+        delta, w_delta = _simpson_rule(0.0, math.pi, 129)
+        Gw = np.real(np.asarray(f.radial_fourier(rho), dtype=complex)) * rho * w_rho
+        i, j = np.triu_indices(rho.size)
+        P, T = rho[i], rho[j]
+        pair_weight = np.where(i < j, 2.0, 1.0) * Gw[i] * Gw[j]
         square_sum, cross, power_sum = P**2 + T**2, 2.0 * P * T, P**alpha + T**alpha
-        Gw = G * rho * w_rho
         out = 0.0
-        from scipy.special import j0
-
         for dl, wl in zip(delta, w_delta):
-            kappa = np.sqrt(np.maximum(square_sum + cross * math.cos(dl), 0.0))
-            S = power_sum - kappa**alpha
+            kappa_sq = np.maximum(square_sum + cross * math.cos(dl), 0.0)
+            S = power_sum - kappa_sq ** (0.5 * alpha)
             g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
-            bess = j0(kappa * s)
-            out += wl * np.einsum("i,j,ij->", Gw, Gw, g2 * bess)
-        return float(out * 2.0 * math.pi / (2.0 * math.pi) ** 4)
-    raise UnsupportedFamilyError("symbol route implemented for d in {1, 2}")
+            out += wl * np.dot(pair_weight, g2 * j0(np.sqrt(kappa_sq) * s))
+        val = float(out * 4.0 * math.pi / (2.0 * math.pi) ** 4)
+    else:
+        raise UnsupportedFamilyError("symbol route implemented for d in {1, 2}")
+    if not math.isfinite(val):
+        raise EvaluationError("the symbol route returned a non-finite value")
+    return val
 
 
 def bakry_emery_check(law: IDLaw, f_list: Sequence[TestFunction], grid) -> float:

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
-from steinlab import DomainError, RegimeError
+from steinlab import DomainError, EvaluationError, RegimeError
 from steinlab.dirichlet import (
     bakry_emery_check,
     export_ratio_csv,
     gamma1,
     gamma2,
+    gamma2_symbol_value,
     poincare_residual,
     _sphere_rule,
     rate_denominator,
@@ -98,6 +101,24 @@ def gaussian_gradient_energy(d, R, n=40):
     return float(weight.reshape(-1) @ np.sum(grad**2, axis=1))
 
 
+def gamma2_symbol_full_grid(f, alpha, x):
+    """The d = 2 symbol route on the full grids: all 385 x 385 radius pairs
+    and the 257-node Simpson rule in the angle over [0, 2 pi]."""
+    s = float(np.linalg.norm(np.asarray(x, dtype=float) - f.fourier_center))
+    rho, w_rho = _simpson_rule(0.0, 14.0, 385)
+    delta, w_delta = _simpson_rule(0.0, 2.0 * math.pi, 257)
+    G = np.real(np.asarray(f.radial_fourier(rho), dtype=complex))
+    P, T = np.meshgrid(rho, rho, indexing="ij")
+    Gw = G * rho * w_rho
+    out = 0.0
+    for dl, wl in zip(delta, w_delta):
+        kappa = np.sqrt(np.maximum(P**2 + T**2 + 2.0 * P * T * math.cos(dl), 0.0))
+        S = P**alpha + T**alpha - kappa**alpha
+        g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
+        out += wl * np.einsum("i,j,ij->", Gw, Gw, g2 * j0(kappa * s))
+    return float(out * 2.0 * math.pi / (2.0 * math.pi) ** 4)
+
+
 class TestGamma1:
     def test_constant_both_routes(self):
         law = isotropic_stable_law(1.5, 1)
@@ -162,6 +183,46 @@ class TestGamma2:
         vi = gamma2(law, f, x, "integral")
         vs = gamma2(law, f, x, "symbol")
         assert vs == pytest.approx(vi, rel=2e-3)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("dist", [0.0, 0.5, 3.0])
+    def test_symbol_d2_matches_full_grid(self, alpha, dist):
+        # the folded sum against every angle node and every radius pair;
+        # dist = 0 puts x on the bump's center, where J0 = 1 throughout
+        f = gaussian_bump(2, a=1.0, center=[0.3, -0.2])
+        x = np.array([0.3, -0.2]) + dist * np.array([0.6, 0.8])
+        ref = gamma2_symbol_full_grid(f, alpha, x)
+        assert gamma2_symbol_value(f, alpha, 2, x) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_symbol_scales_as_amplitude_squared(self, d, k):
+        law = isotropic_stable_law(1.5, d)
+        f = gaussian_bump(d, a=1.0, center=[0.3, 0.1][:d])
+        x = np.array([0.4, -0.2][:d])
+        base = gamma2(law, f, x, "symbol")
+        assert gamma2(law, f.scaled(k), x, "symbol") == pytest.approx(k**2 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5, math.nan])
+    def test_symbol_rejects_alpha_outside_domain(self, d, alpha):
+        f = gaussian_bump(d, a=1.0)
+        with pytest.raises(DomainError):
+            gamma2_symbol_value(f, alpha, d, np.zeros(d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_symbol_accepts_alpha_two(self, d):
+        assert math.isfinite(gamma2_symbol_value(gaussian_bump(d, a=1.0), 2.0, d, np.full(d, 0.3)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_symbol_raises_on_non_finite_transform(self, d):
+        f = gaussian_bump(d, a=1.0)
+        if d == 1:
+            f = replace(f, fourier=lambda xi: np.full(np.shape(xi)[0], complex(np.nan)))
+        else:
+            f = replace(f, radial_fourier=lambda rho: np.full(np.shape(rho), np.nan))
+        with pytest.raises(EvaluationError):
+            gamma2_symbol_value(f, 1.5, d, np.zeros(d))
 
 
 class TestBakryEmery:
