@@ -11,6 +11,7 @@ absolute values.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._errors import DomainError
 from .numerics import normalized_bumps
-from .sampling import SampleBatch, make_rng, sample_isotropic_stable, sample_residual_law
+from .sampling import CHUNK, SampleBatch, make_rng, sample_isotropic_stable
 
 __all__ = ["DistanceEstimate", "ErgodicityFit", "dwr_lower_bound", "ergodicity_probe", "export_probe_csv"]
 
@@ -52,12 +53,22 @@ def dwr_lower_bound(
         family = normalized_bumps(batch_a.dim, r, family_size, make_rng(seed, stream=7))
     if len(family) == 0:
         raise DomainError("empty test-function family")
-    best = _largest_gap(_family_means(batch_a, family), _family_means(batch_b, family))
+    best = _largest_gap(_family_means(batch_a.points, family), _family_means(batch_b.points, family))
     return DistanceEstimate(value=best, family_size=len(family), order=r)
 
 
-def _family_means(batch: SampleBatch, family) -> list:
-    return [float(np.mean(h.evaluate(batch.points))) for h in family]
+def _family_means(points, family, scale: float = 1.0) -> list:
+    """mean h(scale x) over the points for each h of the family.  The values
+    go into one length-n buffer in CHUNK-row blocks, which keeps numpy's
+    temporaries small, and each mean is taken over the whole buffer, so it
+    keeps the bits of a whole-batch evaluation."""
+    values = np.empty(points.shape[0])
+    means = []
+    for h in family:
+        for start in range(0, points.shape[0], CHUNK):
+            values[start : start + CHUNK] = h.evaluate(scale * points[start : start + CHUNK])
+        means.append(float(np.mean(values)))
+    return means
 
 
 def _largest_gap(means_a, means_b) -> float:
@@ -90,20 +101,22 @@ def ergodicity_probe(
     """Fitted decay rate of the order-1 distance between the time-t member
     and the target along the grid.
 
-    The t-member batch is the exact deterministic transform of the target
-    batch (common random numbers), so the comparison noise scales with
-    the signal instead of flooring it."""
+    The t-member batch is the target batch scaled by
+    (1 - e^{-alpha t})^{1/alpha}, exactly as ``sample_residual_law`` draws
+    it from the same seed (common random numbers), so the comparison
+    noise scales with the signal instead of flooring it.  The target is
+    drawn once and scaled for each time."""
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if np.any(t_grid <= 0.0):
         raise DomainError("probe times must be positive")
-    target = sample_isotropic_stable(alpha, d, n, seed)
+    target = sample_isotropic_stable(alpha, d, n, seed).points
     family = normalized_bumps(d, 1, family_size, make_rng(seed, stream=11))
     # the order-1 distance of dwr_lower_bound, with the target means taken once
     target_means = _family_means(target, family)
     dists = []
     for t in t_grid:
-        member = sample_residual_law(alpha, d, float(t), None, n, seed)
-        dists.append(_largest_gap(target_means, _family_means(member, family)))
+        scale = (1.0 - math.exp(-alpha * float(t))) ** (1.0 / alpha)
+        dists.append(_largest_gap(target_means, _family_means(target, family, scale)))
     dists = np.asarray(dists)
     floor = 1e-14
     live = dists > floor

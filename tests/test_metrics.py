@@ -83,6 +83,22 @@ class TestErgodicityProbe:
             member = sample_residual_law(alpha, d, t, None, n, seed)
             assert dist == dwr_lower_bound(target, member, 1, family=family).value
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [16, 17])
+    def test_scaled_target_keeps_the_bits_of_a_draw_per_time(self, d, seed):
+        # the probe scales one target draw and averages in row blocks; a
+        # fresh draw per time, averaged whole, gives the same bits
+        alpha, n, t_grid = 1.5, 20_000, [0.25, 0.5, 1.0, 2.0, 3.0]
+        fit = ergodicity_probe(alpha, d, t_grid, n, seed)
+        target = sample_isotropic_stable(alpha, d, n, seed)
+        family = normalized_bumps(d, 1, 24, make_rng(seed, stream=11))
+        target_means = [np.mean(h.evaluate(target.points)) for h in family]
+        ref = []
+        for t in t_grid:
+            member = sample_residual_law(alpha, d, t, None, n, seed)
+            ref.append(max(abs(va - np.mean(h.evaluate(member.points))) for va, h in zip(target_means, family)))
+        assert np.array_equal(fit.distances, ref)
+
     def test_csv_export(self, tmp_path):
         fit = ergodicity_probe(1.5, 1, [0.5, 1.0], 20_000, seed=14)
         path = tmp_path / "probe.csv"

@@ -362,6 +362,86 @@ class TestSteinSolver:
         assert np.allclose(sol.gradient(x), fd, rtol=5e-4, atol=5e-6)
 
 
+def displacement_radii(sol, pts):
+    """The (n_t, m, d) displacement array and its norm, as SteinSolution
+    built them before it went one coordinate at a time: the reference for
+    the bits of ``evaluate`` and ``gradient_consistent``."""
+    c = sol.h.fourier_center if sol.h.fourier_center is not None else np.zeros(sol.law.dim)
+    y = np.exp(-sol.t_nodes)[:, None, None] * pts[None, :, :] - c[None, None, :]
+    s = np.linalg.norm(y, axis=2)
+    sol._ensure_tables(float(np.max(s)))
+    return y, s
+
+
+def evaluate_displacement(sol, x):
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    integrand = sol._table(displacement_radii(sol, pts)[1]) - sol.mean_h
+    body = sol.t_weights @ integrand
+    h0 = np.asarray(sol.h.evaluate(pts), dtype=float) - sol.mean_h
+    head = 0.5 * sol.t_head * (h0 + integrand[0])
+    out = -(body + head)
+    return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def gradient_displacement(sol, x):
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    y, s = displacement_radii(sol, pts)
+    lam = sol._table(s, derivative=True) / np.where(s > 1e-12, s, 1.0)
+    damp = np.exp(-sol.t_nodes)
+    body = np.zeros(pts.shape)
+    for i in range(sol.t_nodes.size):
+        body += sol.t_weights[i] * damp[i] * lam[i][:, None] * y[i]
+    g0 = np.asarray(sol.h.gradient(pts), dtype=float)
+    head = 0.5 * sol.t_head * (g0 + damp[0] * lam[0][:, None] * y[0])
+    out = -(body + head)
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def off_centre_solution(d):
+    tf = gaussian_bump(d, a=0.8, center=np.linspace(0.4, -0.3, d))
+    return stein_solve(isotropic_stable_law(1.5, d), tf.scaled(1.0 / max(tf.m_bounds)))
+
+
+def spread_points(d, m, seed):
+    """Points near the bump and far out: radii from 1e-3 to about 300."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(m, d)) * np.exp(rng.uniform(math.log(1e-3), math.log(150.0), size=(m, 1)))
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distances_equal_the_norm_of_the_displacement_array(self, d):
+        sol = off_centre_solution(d)
+        x = spread_points(d, 300, seed=20 + d)
+        s = sol._radii(np.square(yk, out=yk) for yk in sol._rows(x))
+        c = sol.h.fourier_center
+        assert np.array_equal(s, np.linalg.norm(np.exp(-sol.t_nodes)[:, None, None] * x[None] - c, axis=2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_evaluate_and_gradient_keep_the_bits_of_the_displacement_path(self, d):
+        sol = off_centre_solution(d)
+        x = spread_points(d, 60, seed=30 + d)
+        # one table for both paths: growing it refits every spline's last digits
+        sol._ensure_tables(1.25 * float(np.max(np.linalg.norm(x, axis=1))) + 1.0)
+        assert np.array_equal(sol.evaluate(x), evaluate_displacement(sol, x))
+        assert np.array_equal(sol.gradient_consistent(x), gradient_displacement(sol, x))
+        assert sol.evaluate(x[0]) == evaluate_displacement(sol, x[0])
+        assert np.array_equal(sol.gradient_consistent(x[0]), gradient_displacement(sol, x[0]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the rho rule's alternating Simpson weights put an image of the profile near s = pi / step "
+    "~ 124 budget; a finer rho step for far reads would mend it and move every profile's bits",
+)
+def test_semigroup_far_from_the_bump_reads_the_profile_not_its_image():
+    # budget 1 reads -0.158 here; budget 2, whose image sits near s = 247, reads 8.6e-10
+    tf = gaussian_bump(1, a=1.0)
+    h = tf.scaled(1.0 / max(tf.m_bounds))
+    value = semigroup_apply(isotropic_stable_law(1.5, 1), h, 1e-3, [124.0])
+    assert abs(value) <= 1e-6, value
+
+
 class TestSteinTable:
     def test_lookup_matches_per_row_splines(self, monkeypatch):
         # random profiles, through the solution's own table build and lookup
