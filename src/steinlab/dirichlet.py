@@ -2,7 +2,10 @@
 stable laws: the carré-du-champs operator and its second iterate by
 three independent routes, the curvature lower bound, the Poincaré-type
 inequality, and the variance-ratio functional probed along smoothly
-truncated coordinates.
+truncated coordinates.  The symbol route of the second iterate runs in
+every d: the common rotation of its two frequencies averages the phase
+to the semigroup's sphere kernel, leaving radius pairs and one relative
+angle.
 
 The rate integrals live in the frequency domain, where the truncation
 family has closed transforms; the weakly singular radial factors
@@ -18,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import j0
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
 from .jumps import (
@@ -38,7 +40,7 @@ from .jumps import (
 from .levy import IDLaw
 from .numerics import TestFunction, _ray_points, _simpson_rule, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
-from .stein import _chunked_mean, generator_apply, generator_tilt
+from .stein import _chunked_mean, _kernels, generator_apply, generator_tilt
 
 __all__ = [
     "RatioReport",
@@ -194,7 +196,7 @@ def _second_difference_double(law, f, X, n_small=12, per_octave=8):
     if _is_constant(f):
         return np.zeros(X.shape[0])
     dens = density_tilde(law.levy.kf)
-    sphere = quad_sphere_for(law, 24 if law.dim > 1 else 32)
+    sphere = quad_sphere_for(law, 96 if law.dim > 2 else 24)
     # sum_i c_all[i] phi(r_all[i]) ~ int phi(r) rho(r) dr for phi vanishing like r^2
     r_all, c_all, _, tail = _radial_rule(dens, _cutoff(X, _reach(f), dens), 2, 0, n_small, per_octave)
     tail *= sphere.total_mass
@@ -227,59 +229,48 @@ def _second_difference_double(law, f, X, n_small=12, per_octave=8):
 
 def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
     """Inverse transform of the closed two-frequency symbol of the second
-    iterate, for the rotationally invariant stable law.
+    iterate, for the rotationally invariant stable law, in any d.
 
-    In d = 2, with F(f)(xi) = G(|xi|) e^{-i<xi, c>} and s = |x - c|, the
-    common rotation of the two frequencies integrates to 2 pi J0(kappa s),
-    and the rest is summed over radius pairs P <= T and angles in [0, pi]:
+    With F(f)(xi) = G(|xi|) e^{-i<xi, c>} and s = |x - c|, rotating both
+    frequencies together averages the phase to the sphere average
+    A_d(kappa s) of `stein._kernels`, and the relative angle delta between
+    them carries |S^{d-2}| sin^{d-2} delta.  Summed over radius pairs
+    P <= T:
 
-        (2 pi)^-4 4 pi sum_{P <= T} m_PT G_P P w_P G_T T w_T
-            int_0^pi g2(P, T, delta) J0(kappa s) d delta,
+        (2 pi)^{-2d} sum_{P <= T} m_PT G_P P^{d-1} w_P G_T T^{d-1} w_T
+            sum_delta w_delta g2(P, T, delta) A_d(kappa s),
 
     kappa^2 = P^2 + T^2 + 2 P T cos delta, m_PT = 2 for P < T and 1 for
-    P = T.  Both folds are exact on the grids.  The integrand sees delta
-    only through cos delta, so it is even about pi, and on such an
-    integrand the 257-node Simpson rule on [0, 2 pi] sums to twice the
-    129-node rule on [0, pi] (same step; the middle node's weight 2 is twice
-    an end weight).  kappa and g2 are symmetric in P and T, and so are the
-    radial weights."""
+    P = T (kappa and g2 are symmetric in P and T).  The delta rule is the
+    only dependence on d beyond A_d: in d = 1 the two atoms 0 and pi of
+    weight 1 (the frequencies point the same way or opposite ways); in
+    d >= 2 the 129-node Simpson rule on [0, pi] with weights times
+    |S^{d-2}| sin^{d-2} delta.  In d = 2 that is the 257-node rule on
+    [0, 2 pi] folded about pi, and the d = 1 radial rule on [0, 14] is the
+    769-node rule on [-14, 14] folded about 0."""
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    x = np.asarray(x, dtype=float)
+    if f.radial_fourier is None or f.fourier_center is None:
+        raise DomainError("the symbol route needs a radially shifted bump")
+    s = float(np.linalg.norm(np.asarray(x, dtype=float) - f.fourier_center))
+    rho, w_rho = _simpson_rule(0.0, 14.0, 385)
     if d == 1:
-        if f.fourier is None:
-            raise DomainError("symbol route needs a test function with a transform")
-        xi, w = _simpson_rule(-14.0, 14.0, 769)
-        Fxi = np.asarray(f.fourier(xi[:, None]))
-        phase = np.exp(1j * np.outer(xi, np.array([x[0]])))[:, 0]
-        A = np.abs(xi)[:, None] ** alpha + np.abs(xi)[None, :] ** alpha
-        K = np.abs(xi[:, None] + xi[None, :]) ** alpha
-        S = A - K
-        g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
-        val = np.einsum(
-            "i,j,i,j,ij->", Fxi * phase, Fxi * phase, w, w, g2
-        ) / (2.0 * math.pi) ** 2
-        val = float(np.real(val))
-    elif d == 2:
-        if f.radial_fourier is None or f.fourier_center is None:
-            raise DomainError("the planar symbol route needs a radially shifted bump")
-        s = float(np.linalg.norm(x - f.fourier_center))
-        rho, w_rho = _simpson_rule(0.0, 14.0, 385)
-        delta, w_delta = _simpson_rule(0.0, math.pi, 129)
-        Gw = np.real(np.asarray(f.radial_fourier(rho), dtype=complex)) * rho * w_rho
-        i, j = np.triu_indices(rho.size)
-        P, T = rho[i], rho[j]
-        pair_weight = np.where(i < j, 2.0, 1.0) * Gw[i] * Gw[j]
-        square_sum, cross, power_sum = P**2 + T**2, 2.0 * P * T, P**alpha + T**alpha
-        out = 0.0
-        for dl, wl in zip(delta, w_delta):
-            kappa_sq = np.maximum(square_sum + cross * math.cos(dl), 0.0)
-            S = power_sum - kappa_sq ** (0.5 * alpha)
-            g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
-            out += wl * np.dot(pair_weight, g2 * j0(np.sqrt(kappa_sq) * s))
-        val = float(out * 4.0 * math.pi / (2.0 * math.pi) ** 4)
+        delta, w_delta = np.array([0.0, math.pi]), np.ones(2)
     else:
-        raise UnsupportedFamilyError("symbol route implemented for d in {1, 2}")
+        delta, w_delta = _simpson_rule(0.0, math.pi, 129)
+        w_delta *= surface_area(d - 1) * np.sin(delta) ** (d - 2)
+    Gw = np.real(np.asarray(f.radial_fourier(rho), dtype=complex)) * rho ** (d - 1) * w_rho
+    i, j = np.triu_indices(rho.size)
+    P, T = rho[i], rho[j]
+    pair_weight = np.where(i < j, 2.0, 1.0) * Gw[i] * Gw[j]
+    square_sum, cross, power_sum = P**2 + T**2, 2.0 * P * T, P**alpha + T**alpha
+    out = 0.0
+    for dl, wl in zip(delta, w_delta):
+        kappa_sq = np.maximum(square_sum + cross * math.cos(dl), 0.0)
+        S = power_sum - kappa_sq ** (0.5 * alpha)
+        g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
+        out += wl * np.dot(pair_weight, g2 * _kernels(d, np.sqrt(kappa_sq) * s))
+    val = float(out / (2.0 * math.pi) ** (2 * d))
     if not math.isfinite(val):
         raise EvaluationError("the symbol route returned a non-finite value")
     return val

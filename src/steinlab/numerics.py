@@ -426,6 +426,8 @@ class TestFunction:
     or leave them out (``product``, ``replace(f, ray_split=None)``).
     """
 
+    __test__ = False  # not a pytest test class, despite its name
+
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None

@@ -49,6 +49,9 @@ class SampleBatch:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] < 1:
             raise DomainError("a batch holds at least one sample")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise EvaluationError(f"non-finite sample in row {int(np.argmin(finite))}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -86,15 +89,17 @@ class MCEstimate:
 
 
 def _kanter(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One-sided stable draws with Laplace transform exp(-lambda^alpha)."""
+    """One-sided stable draws with Laplace transform exp(-lambda^alpha).
+
+    Kanter's (a(u) / E)^((1-alpha)/alpha), with
+    a(u) = sin((1-alpha)u) sin(alpha u)^(alpha/(1-alpha)) / sin(u)^(1/(1-alpha)),
+    written as B^(1/alpha) with B = (sin((1-alpha)u) / E)^(1-alpha)
+    sin(alpha u)^alpha / sin u.  No factor of B is raised to a power that
+    grows as alpha -> 1, where sin(u)^(1/(1-alpha)) underflows to 0."""
     u = rng.uniform(0.0, math.pi, n)
     e = rng.exponential(1.0, n)
-    a = (
-        np.sin((1.0 - alpha) * u)
-        * np.sin(alpha * u) ** (alpha / (1.0 - alpha))
-        / np.sin(u) ** (1.0 / (1.0 - alpha))
-    )
-    return (a / e) ** ((1.0 - alpha) / alpha)
+    b = (np.sin((1.0 - alpha) * u) / e) ** (1.0 - alpha) * np.sin(alpha * u) ** alpha / np.sin(u)
+    return b ** (1.0 / alpha)
 
 
 def sample_positive_stable(

@@ -102,9 +102,19 @@ def gaussian_gradient_energy(d, R, n=40):
 
 
 def gamma2_symbol_full_grid(f, alpha, x):
-    """The d = 2 symbol route on the full grids: all 385 x 385 radius pairs
-    and the 257-node Simpson rule in the angle over [0, 2 pi]."""
-    s = float(np.linalg.norm(np.asarray(x, dtype=float) - f.fourier_center))
+    """The symbol route on full grids.  d = 1: every (xi, zeta) pair of the
+    769-node Simpson rule on [-14, 14], with the transform read directly.
+    d = 2: all 385 x 385 radius pairs and the 257-node Simpson rule in the
+    angle over [0, 2 pi]."""
+    x = np.asarray(x, dtype=float)
+    if f.dim == 1:
+        xi, w = _simpson_rule(-14.0, 14.0, 769)
+        Fw = np.asarray(f.fourier(xi[:, None])) * np.exp(1j * xi * x[0]) * w
+        p = np.abs(xi) ** alpha
+        S = p[:, None] + p[None, :] - np.abs(np.add.outer(xi, xi)) ** alpha
+        g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
+        return float(np.real(Fw @ g2 @ Fw)) / (2.0 * math.pi) ** 2
+    s = float(np.linalg.norm(x - f.fourier_center))
     rho, w_rho = _simpson_rule(0.0, 14.0, 385)
     delta, w_delta = _simpson_rule(0.0, 2.0 * math.pi, 257)
     G = np.real(np.asarray(f.radial_fourier(rho), dtype=complex))
@@ -117,6 +127,16 @@ def gamma2_symbol_full_grid(f, alpha, x):
         g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
         out += wl * np.einsum("i,j,ij->", Gw, Gw, g2 * j0(kappa * s))
     return float(out * 2.0 * math.pi / (2.0 * math.pi) ** 4)
+
+
+def gaussian_hessian_energy(d, x):
+    """||Hess f||_HS^2 + |grad f|^2 for f = exp(-|x|^2) at x.
+
+    With grad f = -2 x f and d_jk f = (4 x_j x_k - 2 delta_jk) f:
+    sum_jk (4 x_j x_k - 2 delta_jk)^2 = 16 |x|^4 - 16 |x|^2 + 4 d, and
+    |grad f|^2 = 4 |x|^2 f^2."""
+    r2 = float(np.dot(x, x))
+    return math.exp(-2.0 * r2) * (16.0 * r2**2 - 12.0 * r2 + 4.0 * d)
 
 
 class TestGamma1:
@@ -187,12 +207,14 @@ class TestGamma2:
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
     @pytest.mark.parametrize("dist", [0.0, 0.5, 3.0])
     def test_symbol_d2_matches_full_grid(self, alpha, dist):
-        # the folded sum against every angle node and every radius pair;
-        # dist = 0 puts x on the bump's center, where J0 = 1 throughout
-        f = gaussian_bump(2, a=1.0, center=[0.3, -0.2])
-        x = np.array([0.3, -0.2]) + dist * np.array([0.6, 0.8])
-        ref = gamma2_symbol_full_grid(f, alpha, x)
-        assert gamma2_symbol_value(f, alpha, 2, x) == pytest.approx(ref, rel=1e-12)
+        # the folded sum against every angle node and every radius pair in
+        # d = 2, and against every (xi, zeta) pair in d = 1; dist = 0 puts x
+        # on the bump's center, where the phase average is constant
+        for d, c, u in ((1, [0.3], [1.0]), (2, [0.3, -0.2], [0.6, 0.8])):
+            f = gaussian_bump(d, a=1.0, center=c)
+            x = np.array(c) + dist * np.array(u)
+            ref = gamma2_symbol_full_grid(f, alpha, x)
+            assert gamma2_symbol_value(f, alpha, d, x) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [0.5, 3.0])
@@ -203,24 +225,28 @@ class TestGamma2:
         base = gamma2(law, f, x, "symbol")
         assert gamma2(law, f.scaled(k), x, "symbol") == pytest.approx(k**2 * base, rel=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5, math.nan])
     def test_symbol_rejects_alpha_outside_domain(self, d, alpha):
         f = gaussian_bump(d, a=1.0)
         with pytest.raises(DomainError):
             gamma2_symbol_value(f, alpha, d, np.zeros(d))
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_symbol_accepts_alpha_two(self, d):
-        assert math.isfinite(gamma2_symbol_value(gaussian_bump(d, a=1.0), 2.0, d, np.full(d, 0.3)))
+        """At alpha = 2, S = |xi|^2 + |zeta|^2 - |xi + zeta|^2 = -2 <xi, zeta>,
+        so g2 = (1/4) S^2 + (1/2) S = <xi, zeta>^2 - <xi, zeta>.  Each factor
+        i xi_j of a transform is d_j of its inverse, so <xi, zeta>^2 =
+        sum_jk (i xi_j i xi_k)(i zeta_j i zeta_k) inverts to
+        sum_jk (d_jk f)^2 and -<xi, zeta> = sum_j (i xi_j)(i zeta_j) to
+        sum_j (d_j f)^2: the route returns ||Hess f||_HS^2 + |grad f|^2."""
+        x = np.full(d, 0.3)
+        value = gamma2_symbol_value(gaussian_bump(d, a=1.0), 2.0, d, x)
+        assert value == pytest.approx(gaussian_hessian_energy(d, x), rel=1e-6)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_symbol_raises_on_non_finite_transform(self, d):
-        f = gaussian_bump(d, a=1.0)
-        if d == 1:
-            f = replace(f, fourier=lambda xi: np.full(np.shape(xi)[0], complex(np.nan)))
-        else:
-            f = replace(f, radial_fourier=lambda rho: np.full(np.shape(rho), np.nan))
+        f = replace(gaussian_bump(d, a=1.0), radial_fourier=lambda rho: np.full(np.shape(rho), np.nan))
         with pytest.raises(EvaluationError):
             gamma2_symbol_value(f, 1.5, d, np.zeros(d))
 
@@ -244,7 +270,8 @@ class TestBakryEmery:
         scale = 1.0
         assert bakry_emery_check(law, fs, grid) >= -1e-8 * scale
 
-    def test_gap_equals_double_integral(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gap_equals_double_integral(self, d):
         # independent check: symbol-route Gamma_2 minus (alpha/2) Gamma
         # equals the squared-second-difference double integral
         from steinlab.dirichlet import _second_difference_double
@@ -252,9 +279,9 @@ class TestBakryEmery:
         from steinlab.dirichlet import _gamma1_integral_at
 
         alpha = 1.5
-        law = isotropic_stable_law(alpha, 2)
-        f = gaussian_bump(2, a=1.0, center=[0.2, 0.1])
-        pts = np.array([[0.0, 0.0], [0.5, -0.4], [-1.0, 0.3]])
+        law = isotropic_stable_law(alpha, d)
+        f = gaussian_bump(d, a=1.0, center=[0.2, 0.1, -0.1][:d])
+        pts = np.array([[0.0, 0.0, 0.0], [0.5, -0.4, 0.2], [-1.0, 0.3, 0.1]])[:, :d]
         g2_symbol = np.array([gamma2(law, f, x, "symbol") for x in pts])
         g1 = _gamma1_integral_at(f, f, pts, quad_sphere_for(law, 48), density_tilde(law.levy.kf))
         gap = g2_symbol - 0.5 * alpha * g1

@@ -100,6 +100,18 @@ class TestIsotropicStable:
             m.append(np.mean(np.abs(batch.points[:, 0]) ** eps))
         assert abs(m[0] - m[1]) / m[1] < 0.02
 
+    def test_draws_stay_finite_near_alpha_two(self):
+        # alpha / 2 = 0.9995: the one-sided factors raised to 1/(1 - 0.9995)
+        # must not underflow
+        batch = sample_isotropic_stable(1.999, 2, 200_000, seed=11)
+        assert np.isfinite(batch.points).all()
+
+    def test_batch_names_its_non_finite_row(self):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = np.nan
+        with pytest.raises(EvaluationError, match="row 2"):
+            SampleBatch(points=pts, seed=0, law={})
+
 
 class TestResidualLaw:
     def test_t_zero_is_point_mass(self):
