@@ -8,9 +8,10 @@ to the semigroup's sphere kernel, leaving radius pairs and one relative
 angle.
 
 The rate integrals live in the frequency domain, where the truncation
-family has closed transforms; the weakly singular radial factors
-|xi|^(alpha-2) and |xi|^(alpha-4) xi_j^2 are integrated in polar
-coordinates, whose volume element restores integrability.
+family has closed transforms.  They run in every d and do not depend on
+the coordinate j: rotation invariance averages their kernels over j,
+and the angles integrate in closed form, leaving radial integrals whose
+weakly singular factors sit at the origins of log grids.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ive
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
 from .jumps import (
@@ -323,11 +325,19 @@ def poincare_residual(law: IDLaw, f: TestFunction, n: int, seed: int, n_dirs: in
 _RATE_LO, _RATE_HI = 1e-7, 14.0
 
 
-def _radial_rate_quad(alpha, d, fn):
-    """int_0^_RATE_HI fn(rho) rho^{d-1} drho: Simpson in u = log rho above
-    _RATE_LO plus the analytic power-law cell below it (fn ~ rho^{alpha-2}
-    near 0)."""
-    u, w = _simpson_rule(math.log(_RATE_LO), math.log(_RATE_HI), 4001)
+def _check_rate_args(alpha, d, j):
+    if not (1.0 < alpha < 2.0):
+        raise DomainError("the rate integrals need alpha in (1, 2)")
+    if not (0 <= j < d):
+        raise DomainError("coordinate index out of range")
+
+
+def _radial_rate_quad(alpha, d, fn, n=4001):
+    """int_0^_RATE_HI fn(rho) rho^{d-1} drho: Simpson on n nodes in
+    u = log rho above _RATE_LO plus the analytic power-law cell below it
+    (fn ~ rho^{alpha-2} near 0).  The rate integrands carry e^{-rho^2/8},
+    whose mass against rho^{d-1} stays below _RATE_HI to 2e-6 up to d = 12."""
+    u, w = _simpson_rule(math.log(_RATE_LO), math.log(_RATE_HI), n)
     r = np.exp(u)
     val = float(np.dot(w, fn(r) * r**d))
     # small cell: fn rho^{d-1} ~ C rho^{alpha+d-3}
@@ -341,8 +351,8 @@ def _psi2_transform(d):
     return lambda rho: (math.pi / 2.0) ** (d / 2.0) * np.exp(-np.asarray(rho) ** 2 / 8.0)
 
 
-def _numerator_integrand(alpha, d, R):
-    """Radial integrand of E g_{R,j}^2, before the rho^{d-1} Jacobian."""
+def _numerator(alpha, d, R, n=4001):
+    """E g_{R,j}^2 with the radial integral on n nodes."""
     F2 = _psi2_transform(d)
 
     def fn(rho):
@@ -351,140 +361,123 @@ def _numerator_integrand(alpha, d, R):
         corr = -(alpha**2 / 4.0) * R**-alpha * rho ** (2.0 * alpha - 2.0) / d
         return F2(rho) * (base + corr) * damp
 
-    return fn
+    val = surface_area(d) * _radial_rate_quad(alpha, d, fn, n)
+    return R ** (2.0 - alpha) * val / (2.0 * math.pi) ** d
 
 
 def rate_numerator(alpha: float, d: int, R: float, j: int = 0) -> float:
     """E g_{R,j}^2 under the normalized stable law, by the exact
-    frequency-domain formula (the variance, since E g = 0)."""
-    if not (1.0 < alpha < 2.0):
-        raise DomainError("the rate integrals need alpha in (1, 2)")
-    val = surface_area(d) * _radial_rate_quad(alpha, d, _numerator_integrand(alpha, d, R))
-    return R ** (2.0 - alpha) * val / (2.0 * math.pi) ** d
+    frequency-domain formula (the variance, since E g = 0).  Rotation
+    invariance makes it the same for every j."""
+    _check_rate_args(alpha, d, j)
+    return _numerator(alpha, d, R)
 
 
 def rate_numerator_limit(alpha: float, d: int, j: int = 0) -> float:
     """Limit of E g^2 / R^(2-alpha): the damped terms dropped."""
-    if not (1.0 < alpha < 2.0):
-        raise DomainError("the rate integrals need alpha in (1, 2)")
+    _check_rate_args(alpha, d, j)
     F2 = _psi2_transform(d)
-    omega = surface_area(d)
     fn = lambda rho: F2(rho) * (alpha / 2.0) * rho ** (alpha - 2.0) * (1.0 + (alpha - 2.0) / d)
-    return omega * _radial_rate_quad(alpha, d, fn) / (2.0 * math.pi) ** d
+    return surface_area(d) * _radial_rate_quad(alpha, d, fn) / (2.0 * math.pi) ** d
 
 
-def _sphere_rule(d: int, n: int):
-    """Directions/weights integrating over the unit sphere (exact mass)."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    th, w = _simpson_rule(0.0, 2.0 * math.pi, n)
-    # drop the duplicated endpoint by folding its weight onto the start
-    w[0] += w[-1]
-    return np.stack([np.cos(th[:-1]), np.sin(th[:-1])], axis=1), w[:-1]
+def _sphere_averages(d: int, kappa):
+    """E_0 = e^{-kappa} int_{S^{d-1}} e^{kappa cos theta} dsigma and
+    E_1 = e^{-kappa} int_{S^{d-1}} cos theta e^{kappa cos theta} dsigma,
+    theta the angle to a fixed axis:
+
+        E_0 = (2 pi)^{d/2} ive(nu, kappa) / kappa^nu,
+        E_1 = (2 pi)^{d/2} ive(nu + 1, kappa) / kappa^nu,   nu = d/2 - 1
+
+    (1 + e^{-2 kappa} and 1 - e^{-2 kappa} in d = 1).  E_0 is read from
+    I_nu = I_{nu+2} + (d/kappa) I_{nu+1}, whose orders are positive in every
+    d (ive is twice as slow at nu = -1/2).  Below kappa = 1e-20 both are
+    their kappa = 0 values to rounding."""
+    nu = d / 2.0 - 1.0
+    k = np.maximum(kappa, 1e-20)
+    pref = (2.0 * math.pi) ** (d / 2.0) * k**-nu
+    E1 = pref * ive(nu + 1.0, k)
+    return (d / k) * E1 + pref * ive(nu + 2.0, k), E1
+
+
+def _denominator(alpha, d, R, n=201):
+    """E Gamma(g_{R,j}, g_{R,j}) on n |w| nodes and n |xi| nodes."""
+    b = 1.0 + (alpha - 2.0) / d
+    c = alpha**2 / (2.0 * d)
+    xi, w_xi = _simpson_rule(_RATE_LO, 40.0, n, log=True)
+    xi_s = xi / R
+    jac_xi = w_xi * xi ** (d - 1)
+
+    def fn(w):
+        w_s = w / R
+        A = (c / 2.0) * w_s ** (2.0 * alpha - 2.0) - (alpha / 2.0) * b * w_s ** (alpha - 2.0)
+        K_w = -A * w_s**alpha + 2.0 * c * w_s ** (2.0 * alpha - 2.0) - alpha * b * w_s ** (alpha - 2.0)
+        E0, E1 = _sphere_averages(d, np.outer(w, xi) / 2.0)
+        gauss = np.exp(-((xi - w[:, None] / 2.0) ** 2) / 2.0)
+        I_xi = A * ((gauss * E0) @ (jac_xi * xi_s**alpha))
+        I_xi -= c * w_s ** (alpha - 1.0) * ((gauss * E1) @ (jac_xi * xi_s ** (alpha - 1.0)))
+        damp = np.exp(-(w**2) / 8.0 - w**alpha / (2.0 * R**alpha))
+        return damp * ((2.0 * math.pi) ** (d / 2.0) * K_w + 2.0 * I_xi)
+
+    pref = math.pi**d * surface_area(d) / (2.0 * math.pi) ** (2 * d)
+    return float(-(alpha / 4.0) * pref * _radial_rate_quad(alpha, d, fn, n))
 
 
 def rate_denominator(alpha: float, d: int, R: float, j: int = 0) -> float:
-    """E Gamma(g_{R,j}, g_{R,j}) by the exact double frequency integral.
+    """E Gamma(g_{R,j}, g_{R,j}) by the exact double frequency integral, in
+    every d and the same for every j (the law is rotation invariant).
 
-    The kernel is d_{xi_j} d_{zeta_j}[phi(w) S] / phi(w) with w = xi + zeta,
-    S = |xi|^alpha + |zeta|^alpha - |w|^alpha and
-    P = -(alpha/2) |w|^(alpha-2) w_j; it has five terms,
+    The kernel d_{xi_j} d_{zeta_j}[phi(w) S] / phi(w), w = xi + zeta,
+    S = |xi|^alpha + |zeta|^alpha - |w|^alpha, is integrated against
+    exp(-|v|^2/2 - |w|^2/8 - |w|^alpha/(2 R^alpha)), v = xi - w/2, with xi,
+    zeta and w scaled by 1/R inside it.  Averaged over j, with
+    b = 1 + (alpha-2)/d and A = (alpha^2/4d)|w|^(2 alpha-2) - (alpha/2) b |w|^(alpha-2),
+    it is K_w + K_xi + K_zeta, where (theta the angle between xi and w)
 
-        P^2 S + P (d_{xi_j} S + d_{zeta_j} S) + (d_{w_j} P) S + d_{xi_j} d_{zeta_j} S,
+        K_w = -A |w|^alpha + (alpha^2/d)|w|^(2 alpha-2) - alpha b |w|^(alpha-2),
+        K_xi = A |xi|^alpha - (alpha^2/2d)|w|^(alpha-1)|xi|^(alpha-1) cos theta,
 
-    and is symmetric under xi <-> zeta.  In the sum/difference coordinates
-    w = xi + zeta, v = (xi - zeta)/2 the Gaussian transforms separate and
-    the kernel's singular set becomes the origin of the w polar grid.
+    and K_zeta integrates to the same value as K_xi.  In polar coordinates
+    about xi = 0 the angle enters only through the sphere averages E_0, E_1
+    of `_sphere_averages` at kappa = |xi||w|/2, so
 
-    On the equispaced direction rule, |xi| and |zeta| depend on the two
-    directions only through their relative angle psi, and |zeta| at psi is
-    |xi| at psi + pi.  So the powers are taken once per (psi, |v|, |w|),
-    and P, d_{w_j} P and d_{xi_j} d_{zeta_j} S once per w-direction and |w|.
-    For w-direction a the sum over v-directions is a product of an (n, n)
-    weight matrix with the psi-arrays: W[a, psi] + W[a, psi + pi], where
-    W[a, psi] = w_{(a + psi) mod n} and the second term carries the zeta
-    side, or its e_j-weighted twin with a minus sign.  One contraction
-    against the Gaussian weights then gives the integral, with no loop
-    over direction pairs."""
-    if not (1.0 < alpha < 2.0):
-        raise DomainError("the rate integrals need alpha in (1, 2)")
-    if d > 2:
-        raise UnsupportedFamilyError("rate_denominator implemented for d in {1, 2}")
-    rho_w, w_w = _simpson_rule(1e-5, 28.0, 401, log=True)
-    rho_v, w_v = _simpson_rule(0.0, 14.0, 65 if d == 2 else 385)
-    dirs, wdirs = _sphere_rule(d, 33)
-    n, mass = len(wdirs), float(wdirs.sum())
-    pref = math.pi**d / (2.0 * math.pi) ** (2 * d)
-    gauss = np.exp(-(rho_v[:, None] ** 2) / 2.0 - (rho_w**2) / 8.0 - (rho_w**alpha) / (2.0 * R**alpha))
-    gauss *= np.outer(w_v * rho_v ** (d - 1), w_w * rho_w ** (d - 1))
-    v, w = rho_v[:, None] / R, rho_w / R
-    # |xi|^2 at relative angle psi_k, where (cos psi_k, sin psi_k) = dirs[k];
-    # a sum of squares, so rounding never takes it below zero
-    cos_psi, sin2_psi = dirs[:, 0, None, None], np.sum(dirs[:, 1:] ** 2, axis=1)[:, None, None]
-    q = (w / 2.0 + v * cos_psi) ** 2 + v**2 * sin2_psi
-    xi_a = q ** (alpha / 2.0)
-    # |xi|^(alpha-2), set to 0 at xi = 0, where xi_j |xi|^(alpha-2) -> 0
-    xi_b = xi_a / np.where(q > 0.0, q, 1.0)
-    # w-direction a meets v-direction (a + psi) mod n.  |zeta| at psi is |xi|
-    # at psi + pi, so the zeta side reads the same arrays under the weight
-    # of the opposite v-direction.
-    turn = (np.arange(n)[:, None] + np.arange(n)) % n
-    opposite = (turn + n // 2) % n
-    wdirs_j = wdirs * dirs[:, j]
-    even, odd_j = wdirs[turn] + wdirs[opposite], wdirs_j[turn] - wdirs_j[opposite]
-    e = dirs[:, j, None, None]
-    P = -(alpha / 2.0) * w ** (alpha - 1.0) * e
-    dP = -(alpha / 2.0) * w ** (alpha - 2.0) * (1.0 + (alpha - 2.0) * e**2)
-    sum_S = np.tensordot(even, xi_a, 1) - mass * w**alpha
-    # d_{xi_j} S + d_{zeta_j} S, with xi_j = v e_{v,j} + w e_{w,j} / 2
-    sum_dS = alpha * (
-        v * np.tensordot(odd_j, xi_b, 1) + (w / 2.0) * e * np.tensordot(even, xi_b, 1) - 2.0 * mass * w ** (alpha - 1.0) * e
-    )
-    # d_{xi_j} d_{zeta_j} S = -d_{w_j}^2 |w|^alpha = 2 dP
-    kernel = (P**2 + dP) * sum_S + P * sum_dS + 2.0 * mass * dP
-    total = float(np.sum(np.tensordot(wdirs, kernel, 1) * gauss))
-    return float(-(alpha / 4.0) * pref * total)
+        den = -(alpha/4) pi^d (2 pi)^{-2d} |S^{d-1}| int w^{d-1} e^{-w^alpha/(2 R^alpha) - w^2/8}
+              [ (2 pi)^{d/2} K_w + 2 int xi^{d-1} e^{-(xi - w/2)^2/2}
+                (A |xi|^alpha E_0 - (alpha^2/2d) |w|^(alpha-1) |xi|^(alpha-1) E_1) dxi ] dw.
+
+    The singular sets xi = 0 and w = 0 sit at the origins of log grids:
+    201 Simpson nodes in log |xi| on [1e-7, 40], and 201 in log |w| with
+    the analytic w^(alpha-2) cell below 1e-7 (`_radial_rate_quad`)."""
+    _check_rate_args(alpha, d, j)
+    return _denominator(alpha, d, R)
 
 
 def rate_denominator_limit(alpha: float, d: int, j: int = 0) -> float:
     """Limit of E Gamma(g,g) / R^(2-alpha): a single radial integral after
     the Gaussian in the difference variable integrates out."""
-    if not (1.0 < alpha < 2.0):
-        raise DomainError("the rate integrals need alpha in (1, 2)")
+    _check_rate_args(alpha, d, j)
     omega = surface_area(d)
     gauss_v = (2.0 * math.pi) ** (d / 2.0)  # int exp(-|v|^2/2) dv
     fn = lambda w: np.exp(-(w**2) / 8.0) * w ** (alpha - 2.0) * (1.0 + (alpha - 2.0) / d)
     radial = omega * _radial_rate_quad(alpha, d, fn)
-    return (
-        (alpha**2 / 4.0)
-        * math.pi**d
-        * gauss_v
-        * radial
-        / (2.0 * math.pi) ** (2 * d)
-    )
+    return (alpha**2 / 4.0) * math.pi**d * gauss_v * radial / (2.0 * math.pi) ** (2 * d)
 
 
 def u_ratio_curve(alpha: float, d: int, j: int, R_list: Sequence[float]) -> list:
     """Variance / energy ratio along the truncated coordinates, with the
     energy taken against the stable Lévy measure itself (so the ratio
-    approaches one)."""
+    approaches one).  Each report's err is the change in the ratio when
+    both sides are recomputed at half resolution: the numerator on 2001
+    of its 4001 nodes, the denominator on 101 x 101 of its 201 x 201."""
     out = []
     for R in R_list:
-        num = rate_numerator(alpha, d, float(R), j)
-        den = (2.0 / alpha) * rate_denominator(alpha, d, float(R), j)
-        # error bars from halved-resolution reruns of the numerator side
-        num_lo = _rate_numerator_coarse(alpha, d, float(R), j)
-        err = abs(num - num_lo) / max(den, 1e-300) + 1e-4
-        out.append(RatioReport(R=float(R), numerator=num, denominator=den, ratio=num / den, err=err))
+        R = float(R)
+        num, den = rate_numerator(alpha, d, R, j), (2.0 / alpha) * rate_denominator(alpha, d, R, j)
+        num_lo, den_lo = _numerator(alpha, d, R, 2001), (2.0 / alpha) * _denominator(alpha, d, R, 101)
+        ratio = num / den
+        err = abs(num - num_lo) / den + ratio * abs(den - den_lo) / den
+        out.append(RatioReport(R=R, numerator=num, denominator=den, ratio=ratio, err=err))
     return out
-
-
-def _rate_numerator_coarse(alpha, d, R, j):
-    fn = _numerator_integrand(alpha, d, R)
-    u = np.linspace(math.log(1e-6), math.log(14.0), 801)
-    r = np.exp(u)
-    val = surface_area(d) * float(np.trapezoid(fn(r) * r**d, u))
-    return R ** (2.0 - alpha) * val / (2.0 * math.pi) ** d
 
 
 def export_ratio_csv(reports: Sequence[RatioReport], path) -> None:

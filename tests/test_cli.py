@@ -122,13 +122,14 @@ class TestCommands:
         assert code == EXIT_USAGE
 
     def test_rigidity_small(self, capsys):
-        code = run(["rigidity", "--alpha", "1.5", "--d", "2", "--R", "16"])
-        doc = json.loads(capsys.readouterr().out)
-        rows = doc["payload"]["results"]["curve"]
-        assert [r["R"] for r in rows] == [4.0, 8.0, 16.0]
-        # the pass verdict tracks the last ratio against [0.95, 1.05]
-        expected = EXIT_PASS if 0.95 <= rows[-1]["ratio"] <= 1.05 else EXIT_CHECK_FAILED
-        assert code == expected
+        for d in ("2", "3"):
+            code = run(["rigidity", "--alpha", "1.5", "--d", d, "--R", "16"])
+            doc = json.loads(capsys.readouterr().out)
+            rows = doc["payload"]["results"]["curve"]
+            assert [r["R"] for r in rows] == [4.0, 8.0, 16.0]
+            # the pass verdict tracks the last ratio against [0.95, 1.05]
+            expected = EXIT_PASS if 0.95 <= rows[-1]["ratio"] <= 1.05 else EXIT_CHECK_FAILED
+            assert code == expected
 
     def test_module_form_prints_a_report(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -51,6 +51,11 @@ class TestPositiveStable:
         with pytest.raises(DomainError):
             sample_positive_stable(1.2, 1.0, 10, seed=0)
 
+    def test_draw_beyond_float_range_names_its_index(self):
+        # at alpha' = 0.01 about 1 draw in 1200 exceeds the float range
+        with pytest.raises(EvaluationError, match=r"non-finite draw at index \d+"):
+            sample_positive_stable(0.01, 1.0, 400_000, seed=5)
+
 
 class TestIsotropicStable:
     def test_char_fn_target(self):
