@@ -92,19 +92,6 @@ class ExperimentConfig:
     R: int = 64
     t_max: float = 3.0
 
-    def law_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "c": self.c,
-            "lambda": self.lam,
-            "d": self.d,
-            "sphere_kind": self.sphere_kind,
-            "sphere_atoms": self.sphere_atoms,
-            "shift": list(self.shift),
-            "rep": self.rep,
-        }
-
 
 _RUN_FIELDS = {"command": str, "seed": int, "n": int, "out": str}
 _LAW_FIELDS = {
@@ -190,17 +177,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _build_law(cfg: ExperimentConfig):
-    from .levy import IDLaw, KFunction, LevyPolar, c_alpha_d, cauchy_c
+    from .levy import IDLaw, KFunction, LevyPolar, _isotropic_amplitude
     from .numerics import sphere_from_atoms, uniform_sphere
 
-    if cfg.c == "auto":
-        amp = cauchy_c(cfg.d) if cfg.alpha == 1.0 else c_alpha_d(cfg.alpha, cfg.d)
-    else:
-        amp = float(cfg.c)
     kf = KFunction(
         family=cfg.family,
         alpha=cfg.alpha if cfg.family != "gamma" else float("nan"),
-        c=amp,
+        c=_isotropic_amplitude(cfg.alpha, cfg.d) if cfg.c == "auto" else float(cfg.c),
         lam=cfg.lam,
     )
     if cfg.sphere_kind == "uniform":
@@ -221,11 +204,10 @@ def _build_law(cfg: ExperimentConfig):
 
 
 def _cmd_normalize(cfg):
-    from .levy import c_alpha_d, cauchy_c, normalization_check
+    from .levy import _isotropic_amplitude, normalization_check
 
-    amp = cauchy_c(cfg.d) if cfg.alpha == 1.0 else c_alpha_d(cfg.alpha, cfg.d)
     resid = normalization_check(cfg.alpha, cfg.d, cfg.sphere_atoms or None)
-    return {"c_alpha_d": amp, "normalization_residual": resid}, resid < 1e-4
+    return {"c_alpha_d": _isotropic_amplitude(cfg.alpha, cfg.d), "normalization_residual": resid}, resid < 1e-4
 
 
 def _cmd_residual(cfg):

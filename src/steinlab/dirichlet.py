@@ -42,7 +42,7 @@ from .jumps import (
 from .levy import IDLaw
 from .numerics import TestFunction, _ray_points, _simpson_rule, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
-from .stein import _chunked_mean, _kernels, generator_apply, generator_tilt
+from .stein import _chunked_mean, _isotropic_alpha, _kernels, generator_apply, generator_tilt
 
 __all__ = [
     "RatioReport",
@@ -82,6 +82,8 @@ class RatioReport:
     err: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.numerator) and math.isfinite(self.denominator)):
+            raise EvaluationError(f"non-finite ratio sides at R = {self.R}: {self.numerator} / {self.denominator}")
         if self.numerator <= 0.0 or self.denominator <= 0.0:
             raise DomainError("ratio numerator and denominator must be positive")
 
@@ -139,23 +141,25 @@ def gamma2(law: IDLaw, f: TestFunction, x, route: str = "integral") -> float:
     """Second iterated carré du champs Gamma_2(f, f)(x).
 
     'integral': quarter of the squared-second-difference double integral
-    plus (alpha/4) of the squared increment (rotationally invariant
-    stable only).  'symbol': inverse transform of the closed two-frequency
-    symbol.  'recursion': (1/2)(A Gamma(f,f) - 2 Gamma(A f, f)) with the
-    inner objects evaluated by quadrature."""
+    plus (alpha/4) of the squared increment.  'symbol': inverse transform
+    of the closed two-frequency symbol.  Both hold for the law of the
+    isotropy rule ``levy._is_isotropic`` (any shift) and raise
+    ``UnsupportedFamilyError`` for any other.  'recursion':
+    (1/2)(A Gamma(f,f) - 2 Gamma(A f, f)) with the inner objects evaluated
+    by quadrature, for any law."""
     x = np.asarray(x, dtype=float)
     if _is_constant(f):
         return 0.0
     kf = law.levy.kf
     if route == "integral":
-        alpha = _require_isotropic_stable(law)
+        alpha = _isotropic_alpha(law, centred=False)
         gap = _second_difference_double(law, f, x[None, :])[0]
         g1 = _gamma1_integral_at(
             f, f, x[None, :], quad_sphere_for(law, 48), density_tilde(kf)
         )[0]
         return float(gap + 0.5 * alpha * g1)
     if route == "symbol":
-        alpha = _require_isotropic_stable(law)
+        alpha = _isotropic_alpha(law, centred=False)
         return gamma2_symbol_value(f, alpha, law.dim, x)
     if route == "recursion":
         d = law.dim
@@ -184,13 +188,6 @@ def _generator_apply_vec(law, f, pts, sphere, dens):
     g = np.asarray(f.gradient(pts), dtype=float)
     drift = ((bt[None, :] - pts) * g).sum(axis=1)
     return drift + jump_ball_chunk(f, pts, sphere, dens, n_small=24, per_octave=10)
-
-
-def _require_isotropic_stable(law: IDLaw) -> float:
-    kf = law.levy.kf
-    if kf.family != "stable":
-        raise UnsupportedFamilyError("this route needs the rotationally invariant stable law")
-    return kf.alpha
 
 
 def _second_difference_double(law, f, X, n_small=12, per_octave=8):
@@ -280,8 +277,10 @@ def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
 
 def bakry_emery_check(law: IDLaw, f_list: Sequence[TestFunction], grid) -> float:
     """Min over functions and grid points of Gamma_2 - (alpha/2) Gamma,
-    evaluated through the structurally nonnegative decomposition."""
-    alpha = _require_isotropic_stable(law)
+    evaluated through the structurally nonnegative decomposition, for the
+    law of the isotropy rule ``levy._is_isotropic``; any other law raises
+    ``UnsupportedFamilyError``."""
+    alpha = _isotropic_alpha(law, centred=False)
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     worst = math.inf
     for f in f_list:

@@ -66,12 +66,11 @@ BLOCK = 16384  # values (rows x radial nodes) an increment covers at a time
 
 
 def quad_sphere_for(law, n_dirs: int = 32) -> SphericalGrid:
-    """Direction rule for the inner spherical integral: the law's own
-    atoms when they are few, otherwise a reduced uniform grid."""
+    """Direction rule for the inner spherical integral: ``n_dirs`` uniform
+    directions when the law's sphere is uniform (``SphericalGrid.is_uniform``),
+    otherwise the law's own atoms, so an anisotropic sphere keeps its shape."""
     sphere = law.levy.sphere
-    if sphere.atoms.shape[0] <= max(8, n_dirs // 4):
-        return sphere
-    return uniform_sphere(law.dim, n_dirs)
+    return uniform_sphere(law.dim, n_dirs) if sphere.is_uniform() else sphere
 
 
 def _norm_buckets(Z, fractions=(0.6, 0.85, 0.97, 1.0)):

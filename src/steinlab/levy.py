@@ -94,6 +94,24 @@ def cauchy_c(d: int) -> float:
     return math.gamma((d + 1) / 2.0) / (2.0 * math.pi ** ((d + 1) / 2.0))
 
 
+def _isotropic_amplitude(alpha: float, d: int) -> float:
+    """The normalizing amplitude for every alpha: :func:`c_alpha_d`, or
+    :func:`cauchy_c` at its pole alpha = 1."""
+    return cauchy_c(d) if alpha == 1.0 else c_alpha_d(alpha, d)
+
+
+def _is_isotropic(law: IDLaw) -> bool:
+    """The one isotropy rule: a stable law on a uniform sphere
+    (``SphericalGrid.is_uniform``) with the normalizing amplitude (rel
+    1e-10), under any shift."""
+    kf = law.levy.kf
+    return (
+        kf.family == "stable"
+        and math.isclose(kf.c, _isotropic_amplitude(kf.alpha, law.dim), rel_tol=1e-10)
+        and law.levy.sphere.is_uniform()
+    )
+
+
 # ---------------------------------------------------------------------------
 # k-functions
 # ---------------------------------------------------------------------------
@@ -435,8 +453,7 @@ def isotropic_stable_law(
 ) -> IDLaw:
     """Rotationally invariant alpha-stable law normalized so that the
     characteristic function is exp(-|xi|^alpha / 2)."""
-    amp = c if c is not None else (cauchy_c(d) if alpha == 1.0 else c_alpha_d(alpha, d))
-    kf = stable_k(alpha, amp)
+    kf = stable_k(alpha, c if c is not None else _isotropic_amplitude(alpha, d))
     lp = LevyPolar(sphere=uniform_sphere(d, n_atoms), kf=kf)
     return IDLaw(shift=np.zeros(d), levy=lp, rep=rep)
 

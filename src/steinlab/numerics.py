@@ -239,6 +239,18 @@ class SphericalGrid:
         b, wb = -self.atoms[order_neg], self.weights[order_neg]
         return bool(np.allclose(a, b, atol=10 * tol) and np.allclose(w, wb, rtol=1e-12))
 
+    def is_uniform(self) -> bool:
+        """True when the grid stands for the uniform surface measure: equal
+        weights totalling |S^{d-1}| (rel 1e-12) on a symmetric atom set of
+        at least 64 atoms (the two points in d = 1)."""
+        w, area = self.weights, surface_area(self.dim)
+        return bool(
+            w.size >= (2 if self.dim == 1 else 64)
+            and np.ptp(w) <= 1e-12 * w[0]
+            and abs(self.total_mass - area) <= 1e-12 * area
+            and self.is_symmetric()
+        )
+
 
 def sphere_from_atoms(directions, weights) -> SphericalGrid:
     directions = np.atleast_2d(np.asarray(directions, dtype=float))

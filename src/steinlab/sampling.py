@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
-from .levy import EULER_GAMMA, IDLaw
+from .levy import EULER_GAMMA, IDLaw, _is_isotropic, convert_representation
 
 __all__ = [
     "SampleBatch",
@@ -176,11 +176,12 @@ def _skewed_cauchy_ray(weight: float, c: float, n: int, rng: np.random.Generator
 def sample_stable_law(law: IDLaw, n: int, seed: int, stream: int = 0) -> SampleBatch:
     """Exact sampler for the stable laws the package can simulate.
 
-    Supported: any dimension with the uniform sphere and the normalized
-    amplitude (isotropic path); atomic spheres with alpha < 1 in the
-    drift representation (sums of one-sided rays); atomic spheres with
-    alpha = 1 in the triplet representation (skewed Cauchy rays).
-    Everything else raises, with the reason.
+    Supported: the normalized rotationally invariant law in any dimension
+    and under any shift, as decided by ``levy._is_isotropic`` (isotropic
+    path); spheres of at most 8 atoms with alpha < 1 in the drift
+    representation (sums of one-sided rays) or alpha = 1 in the triplet
+    representation (skewed Cauchy rays).  Everything else, an anisotropic
+    sphere of many atoms among it, raises, with the reason.
     """
     kf = law.levy.kf
     if kf.family != "stable":
@@ -192,30 +193,20 @@ def sample_stable_law(law: IDLaw, n: int, seed: int, stream: int = 0) -> SampleB
     sphere = law.levy.sphere
     desc = {"family": "stable", "alpha": alpha, "d": d, "rep": law.rep}
 
-    # isotropic path: uniform sphere with the normalizing amplitude
-    from .levy import c_alpha_d, cauchy_c
-
-    iso_amp = cauchy_c(d) if alpha == 1.0 else c_alpha_d(alpha, d)
-    n_atoms = sphere.atoms.shape[0]
-    is_uniformish = sphere.is_symmetric() and n_atoms >= (2 if d == 1 else 64)
-    if is_uniformish and abs(kf.c - iso_amp) <= 1e-12 * iso_amp:
+    if _is_isotropic(law):
+        # a symmetric sphere gives every representation the same shift
         base = sample_isotropic_stable(alpha, d, n, seed, stream)
-        shift = _total_shift(law)
-        return SampleBatch(points=base.points + shift, seed=seed, law=desc)
+        return SampleBatch(points=base.points + law.shift, seed=seed, law=desc)
 
-    if n_atoms > 8:
+    if sphere.atoms.shape[0] > 8:
         raise UnsupportedFamilyError(
             "atomic-sphere stable sampling is limited to <= 8 atoms; "
-            "use the uniform sphere with the normalized amplitude instead"
+            "use the uniform sphere (>= 64 atoms in d >= 2) with the normalized amplitude instead"
         )
     rng = make_rng(seed, stream)
     pts = np.zeros((n, d))
     if alpha < 1.0:
-        drift = law if law.rep == "drift_b0" else None
-        if drift is None:
-            from .levy import convert_representation
-
-            drift = convert_representation(law, "drift_b0")
+        drift = law if law.rep == "drift_b0" else convert_representation(law, "drift_b0")
         g_neg = math.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))  # gamma(-alpha)
         for x, w in zip(sphere.atoms, sphere.weights):
             ray_scale = -w * kf.c * g_neg  # = w c |gamma(-alpha)| > 0
@@ -224,11 +215,7 @@ def sample_stable_law(law: IDLaw, n: int, seed: int, stream: int = 0) -> SampleB
         pts += drift.shift
         return SampleBatch(points=pts, seed=seed, law=desc)
     if alpha == 1.0:
-        trip = law
-        if law.rep != "triplet_b":
-            from .levy import convert_representation
-
-            trip = convert_representation(law, "triplet_b")
+        trip = law if law.rep == "triplet_b" else convert_representation(law, "triplet_b")
         for x, w in zip(sphere.atoms, sphere.weights):
             y = _skewed_cauchy_ray(float(w), kf.c, n, rng)
             pts += y[:, None] * x
@@ -238,14 +225,6 @@ def sample_stable_law(law: IDLaw, n: int, seed: int, stream: int = 0) -> SampleB
         "atomic-sphere sampling with alpha > 1 is not provided; "
         "use the isotropic path for the finite-mean regime"
     )
-
-
-def _total_shift(law: IDLaw) -> np.ndarray:
-    """Shift of the isotropic law relative to the zero-shift normalization.
-    For a symmetric sphere all three representations carry the same shift."""
-    if law.levy.sphere.is_symmetric():
-        return law.shift
-    raise UnsupportedFamilyError("isotropic sampler needs a symmetric sphere")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .jumps import (
     jump_vector_chunk,
     quad_sphere_for,
 )
-from .levy import IDLaw, c_alpha_d, cauchy_c, convert_representation
+from .levy import IDLaw, _is_isotropic, convert_representation
 from .numerics import TestFunction, _knot_interval, _ray_points, _simpson_rule
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
@@ -344,19 +344,14 @@ def generator_apply(law: IDLaw, f: TestFunction, x, n_dirs: int = 64) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _isotropic_alpha(law: IDLaw) -> float:
-    kf = law.levy.kf
-    if kf.family != "stable":
-        raise UnsupportedFamilyError("semigroup evaluation is provided for stable laws")
-    d = law.dim
-    iso_amp = cauchy_c(d) if kf.alpha == 1.0 else c_alpha_d(kf.alpha, d)
-    if not law.levy.sphere.is_symmetric() or abs(kf.c - iso_amp) > 1e-10 * iso_amp:
-        raise UnsupportedFamilyError(
-            "semigroup evaluation needs the normalized rotationally invariant law"
-        )
-    if np.any(law.shift != 0.0):
+def _isotropic_alpha(law: IDLaw, centred: bool = True) -> float:
+    """alpha of the normalized rotationally invariant law (``levy._is_isotropic``),
+    centred unless ``centred`` is False; any other law raises."""
+    if not _is_isotropic(law):
+        raise UnsupportedFamilyError("this route needs the normalized rotationally invariant stable law")
+    if centred and np.any(law.shift != 0.0):
         raise UnsupportedFamilyError("semigroup evaluation needs the centered law")
-    return kf.alpha
+    return law.levy.kf.alpha
 
 
 def _kernels(d: int, z):
@@ -432,7 +427,9 @@ def semigroup_apply(
     budget: int = 1,
 ):
     """P_t h(x), by the radial frequency representation ('fourier') or by
-    Monte Carlo over the interpolating family ('mc', returns (value, se))."""
+    Monte Carlo over the interpolating family ('mc', returns (value, se)),
+    for the centred law of the isotropy rule ``levy._is_isotropic``; any
+    other law raises ``UnsupportedFamilyError``."""
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -651,7 +648,9 @@ class SteinSolution:
 
 def stein_solve(law: IDLaw, h: TestFunction, budget: int = 1) -> SteinSolution:
     """Solve A f = h - E h(X) for the centered rotationally invariant
-    stable target by integrating the semigroup in time.
+    stable target by integrating the semigroup in time.  The target must
+    pass the isotropy rule ``levy._is_isotropic``; any other law raises
+    ``UnsupportedFamilyError``.
 
     Requires h with a radial transform profile, normalized so that its
     value, gradient, and Hessian bounds are all at most one.  A constant

@@ -7,6 +7,7 @@ from scipy.special import j0
 
 from steinlab import DomainError, EvaluationError, RegimeError
 from steinlab.dirichlet import (
+    RatioReport,
     bakry_emery_check,
     export_ratio_csv,
     gamma1,
@@ -487,6 +488,19 @@ class TestRatioCurve:
         assert float(g.evaluate(x)) == pytest.approx(-float(g.evaluate(-x)))
         with pytest.raises(DomainError):
             truncated_coordinate(2, 0.5, 0)
+
+    def test_report_refuses_non_finite_sides(self):
+        with pytest.raises(EvaluationError):
+            RatioReport(R=64.0, numerator=0.9, denominator=math.nan, ratio=math.nan, err=0.0)
+        with pytest.raises(EvaluationError):
+            RatioReport(R=64.0, numerator=math.inf, denominator=1.0, ratio=math.inf, err=0.0)
+        with pytest.raises(DomainError):
+            RatioReport(R=64.0, numerator=0.9, denominator=-1.0, ratio=-0.9, err=0.0)
+
+    def test_curve_raises_where_the_denominator_overflows(self):
+        # d = 48 overflows the denominator's sphere averages to nan
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError):
+            u_ratio_curve(1.5, 48, 0, [64.0])
 
     def test_csv_export(self, tmp_path):
         reports = u_ratio_curve(1.5, 2, 0, [8.0])

@@ -194,6 +194,21 @@ class TestSphericalGrids:
     def test_symmetry_flag(self):
         assert uniform_sphere(3, 512).is_symmetric()
 
+    def test_uniform_flag_truth_table(self):
+        fine = uniform_sphere(2, 256)
+        theta = 2.0 * math.pi * np.arange(256) / 256
+        uneven = 1.0 + 0.9 * np.cos(2.0 * theta)
+        cross = sphere_from_atoms([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.full(4, math.pi / 2.0))
+        for grid in (uniform_sphere(1), uniform_sphere(2, 64), fine, uniform_sphere(3, 1024)):
+            assert grid.is_uniform()
+        for grid in (
+            uniform_sphere(2, 32),  # too coarse
+            cross,  # too coarse, with the right mass
+            sphere_from_atoms(fine.atoms, uneven * 2.0 * math.pi / uneven.sum()),  # symmetric, uneven
+            sphere_from_atoms(fine.atoms, 2.0 * fine.weights),  # wrong mass
+        ):
+            assert grid.is_symmetric() and not grid.is_uniform()
+
 
 class TestTimeIntegral:
     def test_exponential(self):
