@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import gammainccinv, ive
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
 from .jumps import (
@@ -321,7 +321,7 @@ def poincare_residual(law: IDLaw, f: TestFunction, n: int, seed: int, n_dirs: in
 # ---------------------------------------------------------------------------
 
 
-_RATE_LO, _RATE_HI = 1e-7, 14.0
+_RATE_LO = 1e-7
 
 
 def _check_rate_args(alpha, d, j):
@@ -332,11 +332,14 @@ def _check_rate_args(alpha, d, j):
 
 
 def _radial_rate_quad(alpha, d, fn, n=4001):
-    """int_0^_RATE_HI fn(rho) rho^{d-1} drho: Simpson on n nodes in
-    u = log rho above _RATE_LO plus the analytic power-law cell below it
-    (fn ~ rho^{alpha-2} near 0).  The rate integrands carry e^{-rho^2/8},
-    whose mass against rho^{d-1} stays below _RATE_HI to 2e-6 up to d = 12."""
-    u, w = _simpson_rule(math.log(_RATE_LO), math.log(_RATE_HI), n)
+    """int_0^H fn(rho) rho^{d-1} drho: Simpson on n nodes in u = log rho
+    above _RATE_LO plus the analytic power-law cell below it (fn ~
+    rho^{alpha-2} near 0).  The rate integrands carry e^{-rho^2/8}; H is
+    taken from alpha and d so that the Gamma tail of e^{-rho^2/8}
+    rho^{alpha+d-3} beyond it is 1e-12 of its whole mass (H = 14.6 at
+    alpha = 1.5 in d = 2, 22.2 in d = 32)."""
+    hi = math.sqrt(8.0 * gammainccinv((alpha + d - 2.0) / 2.0, 1e-12))
+    u, w = _simpson_rule(math.log(_RATE_LO), math.log(hi), n)
     r = np.exp(u)
     val = float(np.dot(w, fn(r) * r**d))
     # small cell: fn rho^{d-1} ~ C rho^{alpha+d-3}

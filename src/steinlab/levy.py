@@ -593,9 +593,11 @@ _BASE_CACHE: dict = {}
 def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) -> np.ndarray:
     """Vectorized profile integral over an array of frequencies.
 
-    Exact power-law weights are reduced by scaling to cached base values
-    at |s| = 1; other families are integrated frequency by frequency.
-    The center form 'full' is the ball form less i s int_1^inf r rho dr.
+    Each distinct |s| is evaluated once and s < 0 is read as the complex
+    conjugate, profile(-s) = conj(profile(s)).  Exact power-law weights
+    are reduced by scaling to cached base values at |s| = 1; other
+    families are integrated by quadrature.  The center form 'full' is
+    the ball form less i s int_1^inf r rho dr.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     dens = _density(kf, kind)
@@ -605,6 +607,7 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
     nz = s_values != 0.0
     if not nz.any():
         return out
+    sa, inverse = np.unique(np.abs(s_values[nz]), return_inverse=True)
     if dens.lam == 0.0:
         a = kf.alpha
         key = (kf.family, kf.alpha, kf.c, kf.lam, kind, mode, tol)
@@ -612,18 +615,16 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
         if base is None:
             base = _profile_generic(1.0, dens, mode, tol)
             _BASE_CACHE[key] = base
-        sa = np.abs(s_values[nz])
         vals = sa**a * base
         if mode == "ball":
             if a == 1.0:
                 vals = vals - 1j * dens.amp * sa * np.log(sa)
             else:
                 vals = vals + 1j * dens.amp * (sa**a - sa) / (1.0 - a)
-        vals = np.where(s_values[nz] < 0.0, np.conj(vals), vals)
-        out[nz] = vals
-        return out
-    for i in np.nonzero(nz)[0]:
-        out[i] = _profile_generic(float(s_values[i]), dens, mode, tol)
+    else:
+        vals = np.array([_profile_generic(float(x), dens, mode, tol) for x in sa], dtype=complex)
+    vals = vals[inverse]
+    out[nz] = np.where(s_values[nz] < 0.0, np.conj(vals), vals)
     return out
 
 

@@ -281,29 +281,25 @@ def _halton(n: int, base: int) -> np.ndarray:
 def uniform_sphere(d: int, n_atoms: Optional[int] = None) -> SphericalGrid:
     """Deterministic discretization of the uniform surface measure.
 
-    d = 1: the two points {+1, -1} with unit weights; d = 2: equally
-    spaced angles (default 256); d >= 3: an antipodally symmetrized
-    low-discrepancy point set with equal weights (default 1024).  Total
-    weight always equals the sphere's surface area, so integrals against
-    the grid approximate integrals against the unnormalized uniform
-    measure.
+    d = 1: the two points {+1, -1} with unit weights.  d >= 2: a half set
+    and its exact negation, so atom j + n/2 is -atom j bit for bit, with
+    equal weights; the half set is the equally spaced angles in [0, pi)
+    for d = 2 (default n = 256) and a low-discrepancy point set for
+    d >= 3 (default n = 1024).  An odd n is rounded up.  Total weight
+    always equals the sphere's surface area, so integrals against the
+    grid approximate integrals against the unnormalized uniform measure.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if d == 1:
         return SphericalGrid(atoms=np.array([[1.0], [-1.0]]), weights=np.array([1.0, 1.0]))
-    if d == 2:
-        n = 256 if n_atoms is None else int(n_atoms)
-        if n % 2:
-            n += 1  # keep the grid antipodally symmetric
-        theta = 2.0 * math.pi * np.arange(n) / n
-        atoms = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return SphericalGrid(atoms=atoms, weights=np.full(n, 2.0 * math.pi / n))
-    n = 1024 if n_atoms is None else int(n_atoms)
-    if n % 2:
-        n += 1
+    n = (256 if d == 2 else 1024) if n_atoms is None else int(n_atoms)
+    n += n % 2
     m = n // 2
-    if d == 3:
+    if d == 2:
+        theta = 2.0 * math.pi * np.arange(m) / n
+        half = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif d == 3:
         half = _fibonacci_hemisphere(m)
     else:
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]

@@ -334,7 +334,7 @@ class TestPoincare:
 
 class TestRateIntegrals:
     def test_limit_closed_form(self):
-        for alpha, d in ((1.5, 2), (1.25, 2), (1.75, 2), (1.5, 1)):
+        for alpha, d in ((1.5, 2), (1.25, 2), (1.75, 2), (1.5, 1), (1.5, 4), (1.5, 8), (1.5, 16), (1.5, 32)):
             assert rate_numerator_limit(alpha, d) == pytest.approx(
                 closed_rate_limit(alpha, d), rel=1e-9
             )

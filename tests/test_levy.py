@@ -117,6 +117,36 @@ class TestLKExponent:
             generic = _profile_generic(s, dens, "ball")
             assert fast == pytest.approx(generic, rel=1e-7)
 
+    @pytest.mark.parametrize("kf", [tempered_k(0.8, 0.5, 1.0), gamma_k(0.7, 1.3)], ids=["tempered", "gamma"])
+    def test_profile_matches_generic_loop_bit_for_bit(self, kf):
+        # an asymmetric atom set: two antipodal pairs, unpaired atoms, one
+        # atom orthogonal to the frequency and one projection repeated
+        sphere = sphere_from_atoms(
+            [[1.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [-0.3, -1.0], [1.0, -0.2], [0.0, 1.0], [0.3, 1.0], [-2.0, 0.7]],
+            np.ones(8),
+        )
+        s = sphere.atoms @ np.array([0.0, 1.7])
+        for kind, dens in (("nu", levy.density_nu(kf)), ("tilde", levy.density_tilde(kf))):
+            for mode in ("ball", "raw", "sigma"):
+                loop = [levy._profile_generic(float(x), dens, mode) if x != 0.0 else 0j for x in s]
+                np.testing.assert_array_equal(levy._profile(s, kf, kind, mode), np.array(loop))
+
+    def test_tempered_symbol_integrates_each_antipodal_pair_once(self, monkeypatch):
+        calls, generic = [], levy._profile_generic
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return generic(*args, **kwargs)
+
+        monkeypatch.setattr(levy, "_profile_generic", counted)
+        tn = tilde_nu(tempered_k(0.8, 0.5, 1.0), uniform_sphere(2, 32))
+        theta = 3.0 * math.pi / 32.0
+        xi = np.array([math.cos(theta), math.sin(theta)])
+        zeta = 0.8 * np.array([math.cos(theta + 2.0), math.sin(theta + 2.0)])
+        symbol_sigma_tilde(tn, xi, zeta)
+        # three profile sums over 32 atoms, 16 antipodal pairs each
+        assert len(calls) <= 48
+
     def test_tempered_exponent_against_brute_force(self):
         sphere = sphere_from_atoms([[1.0], [-1.0]], [1.0, 1.0])
         law = IDLaw(np.zeros(1), LevyPolar(sphere, tempered_k(1.5, 0.3, 0.5)), "triplet_b")

@@ -194,6 +194,14 @@ class TestSphericalGrids:
     def test_symmetry_flag(self):
         assert uniform_sphere(3, 512).is_symmetric()
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [31, 32])
+    def test_second_half_is_the_exact_negation(self, d, n):
+        # an odd count is rounded up; atom j + n/2 is -atom j bit for bit
+        atoms = uniform_sphere(d, n).atoms
+        assert atoms.shape == (32, d)
+        np.testing.assert_array_equal(atoms[16:], -atoms[:16])
+
     def test_uniform_flag_truth_table(self):
         fine = uniform_sphere(2, 256)
         theta = 2.0 * math.pi * np.arange(256) / 256
