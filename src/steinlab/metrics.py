@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._errors import DomainError
-from .numerics import normalized_bumps
+from .numerics import _normalized_bump_params
 from .sampling import CHUNK, SampleBatch, make_rng, sample_isotropic_stable
 
 __all__ = ["DistanceEstimate", "ErgodicityFit", "dwr_lower_bound", "ergodicity_probe", "export_probe_csv"]
@@ -50,23 +50,62 @@ def dwr_lower_bound(
     if batch_a.dim != batch_b.dim:
         raise DomainError("batches live in different dimensions")
     if family is None:
-        family = normalized_bumps(batch_a.dim, r, family_size, make_rng(seed, stream=7))
-    if len(family) == 0:
+        params = _normalized_bump_params(batch_a.dim, r, family_size, make_rng(seed, stream=7))
+        size, means = len(params), lambda pts: _bump_means(pts, params)
+    else:
+        size, means = len(family), lambda pts: _family_means(pts, family)
+    if size == 0:
         raise DomainError("empty test-function family")
-    best = _largest_gap(_family_means(batch_a.points, family), _family_means(batch_b.points, family))
-    return DistanceEstimate(value=best, family_size=len(family), order=r)
+    best = _largest_gap(means(batch_a.points), means(batch_b.points))
+    return DistanceEstimate(value=best, family_size=size, order=r)
 
 
-def _family_means(points, family, scale: float = 1.0) -> list:
-    """mean h(scale x) over the points for each h of the family.  The values
-    go into one length-n buffer in CHUNK-row blocks, which keeps numpy's
-    temporaries small, and each mean is taken over the whole buffer, so it
-    keeps the bits of a whole-batch evaluation."""
+def _family_means(points, family) -> list:
+    """mean h(x) over the points for each h of any family.  The values go
+    into one length-n buffer in CHUNK-row blocks, which keeps the
+    temporaries of ``h.evaluate`` small, and each mean is taken over the
+    whole buffer, so it keeps the bits of a whole-batch evaluation."""
     values = np.empty(points.shape[0])
     means = []
     for h in family:
         for start in range(0, points.shape[0], CHUNK):
-            values[start : start + CHUNK] = h.evaluate(scale * points[start : start + CHUNK])
+            values[start : start + CHUNK] = h.evaluate(points[start : start + CHUNK])
+        means.append(float(np.mean(values)))
+    return means
+
+
+def _bump_means(points, params, scale: float = 1.0) -> list:
+    """mean amplitude * exp(-a |scale x - c|^2) over the points for each
+    (a, c, amplitude) of ``params``: the means of the plain bumps
+    ``normalized_bumps`` builds from them, with the bits of
+    ``np.mean(h.evaluate(scale * points))``.
+
+    Each bump is written into one preallocated length-n buffer by in-place
+    ufuncs, so a family allocates O(n) once instead of temporaries per
+    bump.  |y|^2 is summed in coordinate order for d <= 2, which is what
+    ``einsum`` does there; for d >= 3 it is ``einsum`` itself, on CHUNK-row
+    blocks of a preallocated work array, since its order differs."""
+    pts = points if scale == 1.0 else scale * points
+    n, d = pts.shape
+    values = np.empty(n)
+    work = np.empty((min(n, CHUNK), d)) if d >= 3 else np.empty(n if d == 2 else 0)
+    means = []
+    for a, c, amp in params:
+        if d <= 2:
+            np.subtract(pts[:, 0], c[0], out=values)
+            np.square(values, out=values)
+            for j in range(1, d):
+                np.subtract(pts[:, j], c[j], out=work)
+                values += np.square(work, out=work)
+        else:
+            for start in range(0, n, CHUNK):
+                y = work[: min(CHUNK, n - start)]
+                np.subtract(pts[start : start + CHUNK], c, out=y)
+                np.einsum("nd,nd->n", y, y, out=values[start : start + CHUNK])
+        values *= -a
+        np.exp(values, out=values)
+        if amp != 1.0:
+            values *= amp
         means.append(float(np.mean(values)))
     return means
 
@@ -105,18 +144,19 @@ def ergodicity_probe(
     (1 - e^{-alpha t})^{1/alpha}, exactly as ``sample_residual_law`` draws
     it from the same seed (common random numbers), so the comparison
     noise scales with the signal instead of flooring it.  The target is
-    drawn once and scaled for each time."""
+    drawn once; ``_bump_means`` scales it once per time and writes every
+    bump of the family into one buffer, with the bits of ``h.evaluate``."""
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if np.any(t_grid <= 0.0):
         raise DomainError("probe times must be positive")
     target = sample_isotropic_stable(alpha, d, n, seed).points
-    family = normalized_bumps(d, 1, family_size, make_rng(seed, stream=11))
+    params = _normalized_bump_params(d, 1, family_size, make_rng(seed, stream=11))
     # the order-1 distance of dwr_lower_bound, with the target means taken once
-    target_means = _family_means(target, family)
+    target_means = _bump_means(target, params)
     dists = []
     for t in t_grid:
         scale = (1.0 - math.exp(-alpha * float(t))) ** (1.0 / alpha)
-        dists.append(_largest_gap(target_means, _family_means(target, family, scale)))
+        dists.append(_largest_gap(target_means, _bump_means(target, params, scale)))
     dists = np.asarray(dists)
     floor = 1e-14
     live = dists > floor

@@ -266,6 +266,10 @@ def _fibonacci_hemisphere(m: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
+# one Halton base per coordinate of the d >= 4 point sets
+_HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _halton(n: int, base: int) -> np.ndarray:
     out = np.zeros(n)
     for i in range(n):
@@ -285,12 +289,15 @@ def uniform_sphere(d: int, n_atoms: Optional[int] = None) -> SphericalGrid:
     and its exact negation, so atom j + n/2 is -atom j bit for bit, with
     equal weights; the half set is the equally spaced angles in [0, pi)
     for d = 2 (default n = 256) and a low-discrepancy point set for
-    d >= 3 (default n = 1024).  An odd n is rounded up.  Total weight
+    d >= 3 (default n = 1024), one Halton base per coordinate for d >= 4,
+    so d <= 12.  An odd n is rounded up.  Total weight
     always equals the sphere's surface area, so integrals against the
     grid approximate integrals against the unnormalized uniform measure.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    if d > len(_HALTON_PRIMES):
+        raise DomainError(f"uniform_sphere has Halton bases for d <= {len(_HALTON_PRIMES)}, got d = {d}")
     if d == 1:
         return SphericalGrid(atoms=np.array([[1.0], [-1.0]]), weights=np.array([1.0, 1.0]))
     n = (256 if d == 2 else 1024) if n_atoms is None else int(n_atoms)
@@ -302,10 +309,9 @@ def uniform_sphere(d: int, n_atoms: Optional[int] = None) -> SphericalGrid:
     elif d == 3:
         half = _fibonacci_hemisphere(m)
     else:
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
         from scipy.special import ndtri
 
-        u = np.stack([_halton(m, primes[j]) for j in range(d)], axis=1)
+        u = np.stack([_halton(m, _HALTON_PRIMES[j]) for j in range(d)], axis=1)
         g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         half = g / np.linalg.norm(g, axis=1)[:, None]
     atoms = np.vstack([half, -half])
@@ -560,6 +566,11 @@ def _as_points(x, d):
     return pts, False
 
 
+def _plain_bump_bounds(a: float, amp: float = 1.0) -> tuple:
+    """(sup|f|, sup|grad f|, sup|Hess f|_op) of f = amp exp(-a |x - c|^2)."""
+    return (abs(amp), abs(amp) * math.sqrt(2.0 * a) * math.exp(-0.5), abs(amp) * 2.0 * a)
+
+
 def gaussian_bump(
     d: int,
     a: float = 1.0,
@@ -585,9 +596,13 @@ def gaussian_bump(
     def evaluate(x):
         pts, single = _as_points(x, d)
         y = pts - c
-        g = amp * np.exp(-a * np.einsum("nd,nd->n", y, y))
+        g = np.einsum("nd,nd->n", y, y)
+        g *= -a
+        np.exp(g, out=g)
+        if amp != 1.0:
+            g *= amp
         if coord is not None:
-            g = g * y[:, coord]
+            g *= y[:, coord]
         return g[0] if single else g
 
     def gradient(x):
@@ -674,7 +689,7 @@ def gaussian_bump(
     m_bounds = None
     if coord is None:
         radial_fourier = lambda rho: amp * pref * np.exp(-np.asarray(rho) ** 2 / (4.0 * a))
-        m_bounds = (abs(amp), abs(amp) * math.sqrt(2.0 * a) * math.exp(-0.5), abs(amp) * 2.0 * a)
+        m_bounds = _plain_bump_bounds(a, amp)
 
     label = name or (
         f"bump(a={a:g}, c={np.array2string(c, precision=2)})"
@@ -737,18 +752,23 @@ def gaussian_bump_library(d: int) -> list[TestFunction]:
     return lib
 
 
-def normalized_bumps(d: int, order: int, count: int, rng: np.random.Generator) -> list[TestFunction]:
-    """Random-center/scale plain bumps rescaled so every derivative bound up
-    to ``order`` is <= 1 (closed-form bounds, so membership is certifiable)."""
+def _normalized_bump_params(d: int, order: int, count: int, rng: np.random.Generator) -> list:
+    """(a, c, amplitude) of each ``normalized_bumps`` member: a random width
+    and center, and the amplitude 1 / max(1, m_0, ..., m_order) from the
+    plain bump's closed-form derivative bounds."""
     out = []
     for _ in range(count):
         a = float(np.exp(rng.uniform(math.log(0.15), math.log(2.0))))
         c = rng.normal(0.0, 1.5, size=d)
-        tf = gaussian_bump(d, a=a, center=c)
-        m0, m1, m2 = tf.m_bounds
-        norm = max(1.0, *( (m0, m1, m2)[: order + 1] ))
-        out.append(tf.scaled(1.0 / norm))
+        out.append((a, c, 1.0 / max(1.0, *_plain_bump_bounds(a)[: order + 1])))
     return out
+
+
+def normalized_bumps(d: int, order: int, count: int, rng: np.random.Generator) -> list[TestFunction]:
+    """Random-center/scale plain bumps rescaled so every derivative bound up
+    to ``order`` is <= 1 (closed-form bounds, so membership is certifiable)."""
+    params = _normalized_bump_params(d, order, count, rng)
+    return [gaussian_bump(d, a=a, center=c).scaled(amp) for a, c, amp in params]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from steinlab.cli import (
@@ -16,6 +17,7 @@ from steinlab.cli import (
     run,
     serialize_config,
 )
+from steinlab.metrics import ergodicity_probe
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -169,6 +171,21 @@ class TestReproducibility:
             assert code == EXIT_PASS
             outs.append(json.loads(out.read_text())["payload"])
         assert json.dumps(outs[0], sort_keys=True) == json.dumps(outs[1], sort_keys=True)
+
+    def test_ergodicity_payload_is_the_probe_and_reruns_byte_identical(self, tmp_path, capsys):
+        texts = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{tag}.json"
+            run(
+                ["ergodicity", "--alpha", "1.5", "--d", "1", "--n", "20000", "--seed", "21",
+                 "--t-max", "3.0", "--out", str(out)]
+            )
+            capsys.readouterr()
+            payload = json.loads(out.read_text())["payload"]
+            texts.append(json.dumps(payload, sort_keys=True))
+        fit = ergodicity_probe(1.5, 1, np.linspace(0.25, 3.0, 8), 20000, 21)
+        assert payload["results"]["distances"] == list(fit.distances)
+        assert texts[0] == texts[1]
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         texts = []

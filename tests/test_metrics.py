@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from steinlab import DomainError
-from steinlab.metrics import dwr_lower_bound, ergodicity_probe, export_probe_csv
-from steinlab.numerics import normalized_bumps
-from steinlab.sampling import make_rng, sample_isotropic_stable, sample_residual_law
+from steinlab.metrics import _bump_means, dwr_lower_bound, ergodicity_probe, export_probe_csv
+from steinlab.numerics import _normalized_bump_params, normalized_bumps
+from steinlab.sampling import CHUNK, make_rng, sample_isotropic_stable, sample_residual_law
 
 
 class TestDistanceLowerBound:
@@ -49,6 +49,30 @@ class TestDistanceLowerBound:
         a = sample_isotropic_stable(1.5, 1, 100, seed=9)
         with pytest.raises(DomainError):
             dwr_lower_bound(a, a, 1, family=[])
+
+
+class TestBumpMeans:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [17, CHUNK, CHUNK + 1, 20_000])
+    @pytest.mark.parametrize("scale", [1.0, (1.0 - np.exp(-1.5)) ** (1.0 / 1.5)])
+    def test_kernel_keeps_the_bits_of_evaluate(self, d, n, scale):
+        # the in-place kernel gives the whole-batch means of the family
+        # normalized_bumps builds from the same draws, bit for bit
+        x = sample_isotropic_stable(1.5, d, n, seed=20 + d).points
+        params = _normalized_bump_params(d, 1, 24, make_rng(31, stream=11))
+        family = normalized_bumps(d, 1, 24, make_rng(31, stream=11))
+        ref = [float(np.mean(h.evaluate(scale * x))) for h in family]
+        assert _bump_means(x, params, scale) == ref
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_default_family_matches_the_explicit_family(self, d, r):
+        a = sample_isotropic_stable(1.5, d, 9_000, seed=40 + d)
+        b = sample_isotropic_stable(1.2, d, 9_000, seed=50 + d)
+        family = normalized_bumps(d, r, 50, make_rng(1234, stream=7))
+        default = dwr_lower_bound(a, b, r)
+        explicit = dwr_lower_bound(a, b, r, family=family)
+        assert default == explicit
 
 
 class TestErgodicityProbe:

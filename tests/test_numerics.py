@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinlab import DecayError, DomainError, EvaluationError
-from steinlab.levy import _log_quad_complex
+from steinlab.levy import _log_quad_complex, isotropic_stable_law
 from steinlab.numerics import (
     RadialGrid,
     _refine,
@@ -164,6 +164,13 @@ class TestRefine:
 
 
 class TestSphericalGrids:
+    def test_dimension_past_the_halton_bases_is_a_domain_error(self):
+        assert uniform_sphere(12, 8).atoms.shape == (8, 12)
+        with pytest.raises(DomainError, match="d <= 12"):
+            uniform_sphere(13)
+        with pytest.raises(DomainError, match="d <= 12"):
+            isotropic_stable_law(1.5, 13)
+
     def test_atoms_are_unit(self):
         for d in (1, 2, 3, 4):
             g = uniform_sphere(d)
@@ -316,6 +323,22 @@ class TestBumpLibrary:
                 assert np.max(np.abs(vals)) <= 1.0 + 1e-9
                 grads = np.linalg.norm(tf.gradient(xs), axis=1)
                 assert np.max(grads) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_in_place_evaluate_keeps_the_bits_of_the_formula(self, d):
+        # amp * p(x) * exp(-a |x - c|^2), written as one expression
+        rng = np.random.default_rng(d)
+        xs = rng.normal(0.0, 2.0, size=(300, d))
+        c = rng.normal(size=d)
+        for amp in (1.0, 0.6):
+            for coord in (None, d - 1):
+                tf = gaussian_bump(d, a=0.7, center=c, coord=coord, amplitude=amp)
+                y = xs - c
+                ref = amp * np.exp(-0.7 * np.einsum("nd,nd->n", y, y))
+                if coord is not None:
+                    ref = ref * y[:, coord]
+                assert np.array_equal(tf.evaluate(xs), ref)
+                assert tf.evaluate(xs[0]) == ref[0]
 
 
 class TestGaussJacobi:
