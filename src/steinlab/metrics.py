@@ -80,28 +80,17 @@ def _bump_means(points, params, scale: float = 1.0) -> list:
     ``normalized_bumps`` builds from them, with the bits of
     ``np.mean(h.evaluate(scale * points))``.
 
-    Each bump is written into one preallocated length-n buffer by in-place
-    ufuncs, so a family allocates O(n) once instead of temporaries per
-    bump.  |y|^2 is summed in coordinate order for d <= 2, which is what
-    ``einsum`` does there; for d >= 3 it is ``einsum`` itself, on CHUNK-row
-    blocks of a preallocated work array, since its order differs."""
+    Each bump goes through one preallocated (n, d) work array and one
+    length-n buffer by in-place ufuncs, with |y|^2 from the same
+    ``einsum`` call as ``evaluate``, so a family allocates O(n) once
+    instead of temporaries per bump."""
     pts = points if scale == 1.0 else scale * points
-    n, d = pts.shape
-    values = np.empty(n)
-    work = np.empty((min(n, CHUNK), d)) if d >= 3 else np.empty(n if d == 2 else 0)
+    work = np.empty_like(pts)
+    values = np.empty(pts.shape[0])
     means = []
     for a, c, amp in params:
-        if d <= 2:
-            np.subtract(pts[:, 0], c[0], out=values)
-            np.square(values, out=values)
-            for j in range(1, d):
-                np.subtract(pts[:, j], c[j], out=work)
-                values += np.square(work, out=work)
-        else:
-            for start in range(0, n, CHUNK):
-                y = work[: min(CHUNK, n - start)]
-                np.subtract(pts[start : start + CHUNK], c, out=y)
-                np.einsum("nd,nd->n", y, y, out=values[start : start + CHUNK])
+        np.subtract(pts, c, out=work)
+        np.einsum("nd,nd->n", work, work, out=values)
         values *= -a
         np.exp(values, out=values)
         if amp != 1.0:

@@ -596,13 +596,9 @@ def gaussian_bump(
     def evaluate(x):
         pts, single = _as_points(x, d)
         y = pts - c
-        g = np.einsum("nd,nd->n", y, y)
-        g *= -a
-        np.exp(g, out=g)
-        if amp != 1.0:
-            g *= amp
+        g = amp * np.exp(-a * np.einsum("nd,nd->n", y, y))
         if coord is not None:
-            g *= y[:, coord]
+            g = g * y[:, coord]
         return g[0] if single else g
 
     def gradient(x):

@@ -324,22 +324,6 @@ class TestBumpLibrary:
                 grads = np.linalg.norm(tf.gradient(xs), axis=1)
                 assert np.max(grads) <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_in_place_evaluate_keeps_the_bits_of_the_formula(self, d):
-        # amp * p(x) * exp(-a |x - c|^2), written as one expression
-        rng = np.random.default_rng(d)
-        xs = rng.normal(0.0, 2.0, size=(300, d))
-        c = rng.normal(size=d)
-        for amp in (1.0, 0.6):
-            for coord in (None, d - 1):
-                tf = gaussian_bump(d, a=0.7, center=c, coord=coord, amplitude=amp)
-                y = xs - c
-                ref = amp * np.exp(-0.7 * np.einsum("nd,nd->n", y, y))
-                if coord is not None:
-                    ref = ref * y[:, coord]
-                assert np.array_equal(tf.evaluate(xs), ref)
-                assert tf.evaluate(xs[0]) == ref[0]
-
 
 class TestGaussJacobi:
     def test_matches_monomial(self):
