@@ -81,16 +81,20 @@ def _bump_means(points, params, scale: float = 1.0) -> list:
     ``np.mean(h.evaluate(scale * points))``.
 
     Each bump goes through one preallocated (n, d) work array and one
-    length-n buffer by in-place ufuncs, with |y|^2 from the same
-    ``einsum`` call as ``evaluate``, so a family allocates O(n) once
-    instead of temporaries per bump."""
+    length-n buffer by in-place ufuncs, so a family allocates O(n) once
+    instead of temporaries per bump.  |y|^2 is the same ``einsum`` call
+    as ``evaluate``; for d = 1 it is ``np.square``, which gives the same
+    bits in any summation order, since a one-term sum is one rounding."""
     pts = points if scale == 1.0 else scale * points
     work = np.empty_like(pts)
     values = np.empty(pts.shape[0])
     means = []
     for a, c, amp in params:
         np.subtract(pts, c, out=work)
-        np.einsum("nd,nd->n", work, work, out=values)
+        if pts.shape[1] == 1:
+            np.square(work[:, 0], out=values)
+        else:
+            np.einsum("nd,nd->n", work, work, out=values)
         values *= -a
         np.exp(values, out=values)
         if amp != 1.0:
