@@ -15,10 +15,13 @@ a radial transform profile G(rho) centered at c,
 
 with y = e^{-t} x - c, A_d the spherical phase average, and chi_t the
 characteristic-function ratio of the interpolating family.  Solutions of
-the Stein equation are time integrals of this kernel.  Each solution keeps
-one table of the profiles Phi_t, as the coefficients of a cubic spline in
-|y| per time node, and reads values and gradients off it in one gathered
-lookup: P_t(grad h)(x) = y Lambda_t(|y|) with Lambda_t(s) = Phi_t'(s) / s.
+the Stein equation are time integrals of this kernel, on a composite
+Gauss-Legendre rule in log t (``_time_rule``): panels of a decade below
+t = 1 and of an octave from 1 to 32, with 79 nodes at budget 1 for
+alpha > 0.96 and 87 below.  Each solution keeps one table of the profiles
+Phi_t, as the coefficients of a cubic spline in |y| per time node, and
+reads values and gradients off it in one gathered lookup:
+P_t(grad h)(x) = y Lambda_t(|y|) with Lambda_t(s) = Phi_t'(s) / s.
 The spline knots come in two zones: uniform near the bump, where Phi_t
 varies on the bump's own scale, and log-uniform beyond s = 16, where it
 varies on the scale of s.
@@ -50,7 +53,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw, _is_isotropic, convert_representation
-from .numerics import TestFunction, _knot_interval, _ray_points, _simpson_rule
+from .numerics import TestFunction, _knot_interval, _ray_points, _simpson_rule, gauss_legendre_panel
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
 __all__ = [
@@ -416,6 +419,14 @@ def _mean_h(h: TestFunction, alpha: float, d: int, budget: int = 1) -> float:
     return float(pref * np.sum(gh * np.exp(-(rho**alpha) / 2.0) * rho ** (d - 1) * w * a_k))
 
 
+def _points(x, d: int) -> np.ndarray:
+    """x as an (m, d) array of points; any other shape raises."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DomainError(f"points of shape {np.shape(x)} do not lie in dimension {d}")
+    return pts
+
+
 def semigroup_apply(
     law: IDLaw,
     h: TestFunction,
@@ -432,9 +443,12 @@ def semigroup_apply(
     other law raises ``UnsupportedFamilyError``."""
     if t < 0.0:
         raise DomainError("t must be nonnegative")
-    x = np.asarray(x, dtype=float)
     alpha = _isotropic_alpha(law)
     d = law.dim
+    pts = _points(x, d)
+    if pts.shape[0] != 1:
+        raise DomainError("semigroup_apply takes one point")
+    x = pts[0]
     if mode == "fourier":
         if h.radial_fourier is None:
             raise UnsupportedFamilyError("fourier mode needs a radial transform profile")
@@ -462,17 +476,44 @@ def semigroup_apply(
 _NEAR_S = 16.0
 _TAIL_DU = 0.01
 
+# The time rule's panels in t: [_T_HEAD, 0.01], decades up to 1, octaves
+# up to 32, then one panel up to t_max; _T_NODES[i] Gauss-Legendre nodes
+# (times the budget) in log t on panel i.
+_T_HEAD = 1e-4
+_T_EDGES = (0.01, 0.1, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_T_NODES = (8, 8, 10, 10, 12, 12, 10, 8, 8)
+
 
 def _time_rule(hint: float, budget: int):
-    t0 = 1e-4
-    t, w = _simpson_rule(t0, math.log(1e10) / hint, 192 * budget + 1, log=True)
-    return t, w, t0
+    """(t, w, t0): nodes and weights for int_{t0}^{t_max} g(t) dt, with
+    t_max = log(1e10) / hint, so that the slowest decay e^{-hint t} has
+    fallen to 1e-10.
+
+    A composite Gauss-Legendre rule in u = log t on the panels of
+    ``_T_EDGES``: edges at or past t_max are dropped and the last panel
+    left ends at t_max.  In log t the integrand is smooth on the decades
+    below t = 1; the octaves from 1 to 32 resolve a far point's turn near
+    t = log|x|, where e^{-t} x reaches the bump.  Node 0 is t0 with weight
+    0: the solution's head term reads the integrand there."""
+    t_max = math.log(1e10) / hint
+    u = np.log([_T_HEAD] + [e for e in _T_EDGES if e < t_max] + [t_max])
+    t, w = [np.array([_T_HEAD])], [np.zeros(1)]
+    for lo, hi, n in zip(u[:-1], u[1:], _T_NODES):
+        x, wx = gauss_legendre_panel(n * budget)
+        tp = np.exp(lo + (hi - lo) * x)
+        t.append(tp)
+        w.append((hi - lo) * wx * tp)
+    return np.concatenate(t), np.concatenate(w), _T_HEAD
 
 
 @dataclass
 class SteinSolution:
     """Candidate solution f_h of the Stein equation, tabulated on a
     (t, radial-distance) grid.
+
+    The time nodes and weights are ``_time_rule``'s: node 0 is t_head with
+    weight 0, and the rest are Gauss-Legendre nodes in log t on fixed
+    panels, from t_head to t_max = log(1e10) / min(1, 0.75 alpha).
 
     One table holds the profile Phi_t(s) = P_t h(x) at s = |e^{-t} x - c|
     for every time node: the coefficients of a cubic spline in s per node,
@@ -590,11 +631,14 @@ class SteinSolution:
         return s
 
     def evaluate(self, x):
-        """f_h(x) = -int_0^inf (P_t h(x) - E h) dt on the time rule.
+        """f_h(x) = -int_0^inf (P_t h(x) - E h) dt: the trapezoid rule on
+        [0, t_head] plus the Gauss-Legendre panels of ``_time_rule`` up to
+        t_max.  x is one point of dimension law.dim or an (m, law.dim)
+        array; any other shape raises ``DomainError``.
 
         Past s ~ pi / step ~ 124 budget the profiles read the image that
         ``_rho_rule``'s alternating weights put there, not Phi_t."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        pts = _points(x, self.law.dim)
         s = self._radii(np.square(yk, out=yk) for yk in self._rows(pts))
         integrand = self._table(s)
         integrand -= self.mean_h
@@ -610,7 +654,7 @@ class SteinSolution:
         Lambda_t = Phi_t' / s.  The compensated jump quadrature needs this
         exactness: it cancels the interpolation error of ``evaluate`` at
         small radii.  ``gradient`` is the same function."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        pts = _points(x, self.law.dim)
         rows = list(self._rows(pts))
         s = self._radii([yk * yk for yk in rows])
         lam = self._table(s, derivative=True) / np.where(s > 1e-12, s, 1.0)
@@ -697,11 +741,13 @@ def verify_stein_solution(
     (exact for alpha in {0.5, 1, 1.5} at budgets 1 and 2; alpha = 0.75 at
     budget 2 goes from 80.6 to 90.5), with 6 budget Gauss-Legendre nodes
     per half-octave panel."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = law.dim
+    if sol.law.dim != d:
+        raise DomainError(f"a solution in dimension {sol.law.dim} cannot be verified against a law in dimension {d}")
+    pts = _points(points, d)
     budget = budget if budget is not None else sol.budget
     kf = law.levy.kf
     dens = density_tilde(kf)
-    d = law.dim
     m = pts.shape[0]
     sphere = quad_sphere_for(law, n_dirs)
     small_jump_form = kf.r_k_limit_zero and law.levy.small_jump_first_moment

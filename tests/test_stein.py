@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from steinlab.levy import (
     stable_k,
     tempered_k,
 )
-from steinlab.numerics import TestFunction, constant_fn, gaussian_bump, sphere_from_atoms
+from steinlab.numerics import TestFunction, _simpson_rule, constant_fn, gaussian_bump, sphere_from_atoms
 from steinlab.sampling import mc_expectation, sample_isotropic_stable
 from steinlab.stein import (
     SteinSolution,
@@ -524,3 +525,84 @@ class TestSteinTable:
         assert sol._s_grid.size > knots
         after = sol.evaluate(pts)
         assert np.all(np.abs(after - before) <= 1e-15 * np.abs(before)), (before, after)
+
+
+class TestTimeRule:
+    @pytest.mark.parametrize("hint", [1.0, 0.375, 0.225])
+    def test_rule_integrates_exponentials(self, hint):
+        """Node 0 is the head node with weight 0; the rest integrate e^{-lam t}
+        over [t0, t_max] to 1e-10 relative with at most 90 nodes."""
+        t, w, t0 = stein._time_rule(hint, 1)
+        assert t.size <= 90
+        assert np.all(np.diff(t) > 0.0)
+        assert t[0] == t0 and w[0] == 0.0
+        assert np.all(w[1:] > 0.0)
+        t_max = math.log(1e10) / hint
+        for lam in (0.1, 1.0, 10.0):
+            exact = (math.exp(-lam * t0) - math.exp(-lam * t_max)) / lam
+            assert abs(w @ np.exp(-lam * t) - exact) <= 1e-10 * exact, lam
+
+    def test_budget_multiplies_every_panel(self):
+        for hint in (1.0, 0.225):
+            assert stein._time_rule(hint, 2)[0].size - 1 == 2 * (stein._time_rule(hint, 1)[0].size - 1)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_far_points_converge_in_time(self, alpha, d):
+        """f_h and its gradient out to |x| = 70, against a log-Simpson rule
+        with 8x the old rule's nodes on the same interval and the same s
+        knots: the error left is the time quadrature's.  The 193-node
+        log-Simpson rule this one replaced was up to 9e-6 off here."""
+        tf = gaussian_bump(d, a=0.8, center=np.linspace(0.4, -0.3, d))
+        sol = stein_solve(isotropic_stable_law(alpha, d), tf.scaled(1.0 / max(tf.m_bounds)))
+        t_max = math.log(1e10) / min(1.0, 0.75 * alpha)
+        t_ref, w_ref = _simpson_rule(sol.t_head, t_max, 8 * 192 + 1, log=True)
+        ref = dataclasses.replace(sol, t_nodes=t_ref, t_weights=w_ref, _coef=None, _s_grid=None, _s_max=0.0)
+        rng = np.random.default_rng(40 + d)
+        dirs = rng.normal(size=(60, d))
+        x = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * np.linspace(0.0, 70.0, 60)[:, None]
+        assert np.max(np.abs(sol.evaluate(x) - ref.evaluate(x))) <= 1e-7
+        assert np.max(np.abs(sol.gradient(x) - ref.gradient(x))) <= 1e-7
+
+
+class TestPointDimension:
+    """Points whose last axis is not the law's dimension raise."""
+
+    @staticmethod
+    def case(d):
+        law = isotropic_stable_law(1.5, d)
+        tf = gaussian_bump(d, a=1.0)
+        h = tf.scaled(1.0 / max(tf.m_bounds))
+        return law, h, stein_solve(law, h)
+
+    @pytest.mark.parametrize("x", [np.array([0.1]), np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1))])
+    def test_d2_solution_refuses(self, x):
+        law, h, sol = self.case(2)
+        for call in (sol.evaluate, sol.gradient, sol.gradient_consistent):
+            with pytest.raises(DomainError):
+                call(x)
+        with pytest.raises(DomainError):
+            verify_stein_solution(law, sol, x)
+        with pytest.raises(DomainError):
+            semigroup_apply(law, h, 0.5, x)
+
+    def test_mismatched_law_refuses(self):
+        law1, _, sol1 = self.case(1)
+        law2, _, sol2 = self.case(2)
+        with pytest.raises(DomainError):
+            verify_stein_solution(law2, sol1, np.zeros((3, 2)))
+        with pytest.raises(DomainError):
+            verify_stein_solution(law1, sol2, np.zeros((3, 1)))
+
+    def test_semigroup_takes_one_point(self):
+        law, h, _ = self.case(2)
+        with pytest.raises(DomainError):
+            semigroup_apply(law, h, 0.5, np.zeros((2, 2)))
+
+    def test_d1_point_as_a_length_one_vector(self):
+        law, h, sol = self.case(1)
+        x = np.array([0.3])
+        assert sol.evaluate(x) == sol.evaluate(x[None, :])[0]
+        assert np.array_equal(sol.gradient(x), sol.gradient(x[None, :])[0])
+        assert semigroup_apply(law, h, 0.5, x) == semigroup_apply(law, h, 0.5, 0.3)
+        assert np.isfinite(verify_stein_solution(law, sol, x))
