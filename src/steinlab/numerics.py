@@ -88,6 +88,16 @@ class RadialGrid:
         object.__setattr__(self, "weights", weights)
 
 
+def _simpson_weights(n: int, step: float) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 times step / 3 on n
+    (odd) equally spaced nodes."""
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= step / 3.0
+    return w
+
+
 def _simpson_rule(lo: float, hi: float, n: int, log: bool = False):
     """Composite Simpson nodes and weights on [lo, hi]; an even ``n`` is
     rounded up to odd.  With ``log=True`` the nodes are evenly spaced in
@@ -96,10 +106,7 @@ def _simpson_rule(lo: float, hi: float, n: int, log: bool = False):
     if n % 2 == 0:
         n += 1
     u = np.linspace(math.log(lo), math.log(hi), n) if log else np.linspace(lo, hi, n)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (u[1] - u[0]) / 3.0
+    w = _simpson_weights(n, u[1] - u[0])
     if not log:
         return u, w
     r = np.exp(u)

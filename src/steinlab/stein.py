@@ -53,7 +53,7 @@ from .jumps import (
     quad_sphere_for,
 )
 from .levy import IDLaw, _is_isotropic, convert_representation
-from .numerics import TestFunction, _knot_interval, _ray_points, _simpson_rule, gauss_legendre_panel
+from .numerics import TestFunction, _knot_interval, _ray_points, _simpson_weights, gauss_legendre_panel
 from .sampling import MCEstimate, _chunked_mean, mc_expectation, sample_residual_law, sample_stable_law
 
 __all__ = [
@@ -377,33 +377,97 @@ def _kernels(d: int, z):
     return np.where(np.abs(z) < 1e-6, pref / (2.0**nu * math.gamma(nu + 1.0)), a)
 
 
+# The rho rule's step at budget 1; at budget b it is _RHO_STEP / b
+_RHO_STEP = 0.025
+
+
 def _rho_rule(h: TestFunction, budget: int):
     """Simpson rho-grid covering the transform profile's support.
 
-    The step is rho_max / (512 budget) ~ 0.025 / budget, and the rule's
-    alternating 4, 2 weights put an image of Phi_t near s ~ pi / step
-    ~ 124 budget: a profile read that far out is the image, not Phi_t."""
+    The nodes are rho_j = j delta, with delta = 0.025 / budget, for
+    j = 0 .. n: n is the smallest even count with n delta >= rho_max =
+    sqrt(168 a), a the bump's width.  So node j has the same bits for
+    every h, and on the Stein tables' knots one kernel matrix serves every
+    bump (``_knot_kernels``).  The rule's alternating 4, 2 weights put an
+    image of Phi_t at s = pi / delta ~ 125.7 budget for every h: a profile
+    read that far out is the image, not Phi_t."""
     # infer the Gaussian width from the profile: G(rho) = G(0) e^{-rho^2/(4a)}
     g0 = float(np.real(h.radial_fourier(np.array([0.0]))[0]))
     g1 = float(np.real(h.radial_fourier(np.array([1.0]))[0]))
     a = 0.25 / max(math.log(max(g0, 1e-300) / max(g1, 1e-300)), 1e-6)
     rho_max = math.sqrt(max(4.0 * a * 42.0, 1.0))
-    return _simpson_rule(0.0, rho_max, 512 * budget + 1)
+    step = _RHO_STEP / budget
+    n = 2 * math.ceil(rho_max / (2.0 * step))
+    if n * step < rho_max:
+        n += 2
+    return step * np.arange(n + 1), _simpson_weights(n + 1, step)
+
+
+def _kernel_matrix(d: int, s, rho) -> np.ndarray:
+    """A_d(s_i rho_j) as a new (s.size, rho.size) array, with the bits of
+    ``_kernels(d, np.outer(s, rho))``.  In d <= 2 the kernel is taken in
+    place over the outer product, so no second array is made."""
+    z = np.outer(s, rho)
+    if d == 1:
+        np.cos(z, out=z)
+        z *= 2.0
+    elif d == 2:
+        j0(z, out=z)
+        z *= 2.0 * math.pi
+    else:
+        z = _kernels(d, z)
+    return z
+
+
+# A_d(s_i rho_j) on the budget-1 knots s_i of the Stein tables and the
+# budget-1 rho nodes rho_j = j _RHO_STEP, one matrix per d.  Both are fixed
+# by their index, so the matrix only grows: a farther table appends rows, a
+# wider profile appends columns.  It holds the most rows and the most
+# columns any budget-1 build has needed: 5.7 MB per d for bumps of width
+# a <= 1.25 read out to s = 80.
+_KNOT_KERNELS: dict = {}
+
+
+def _knot_kernels(d: int, s: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The (s.size, rho.size) corner of the cached budget-1 kernel matrix,
+    grown first if it is smaller; only the new blocks are computed.  s must
+    be the first s.size budget-1 knots and rho the first rho.size budget-1
+    nodes."""
+    cached = _KNOT_KERNELS.get(d, np.empty((0, 0)))
+    rows, cols = cached.shape
+    if s.size > rows or rho.size > cols:
+        n_s, n_rho = max(rows, s.size), max(cols, rho.size)
+        knots, nodes = _knot_grid(1, n_s), _RHO_STEP * np.arange(n_rho)
+        grown = np.empty((n_s, n_rho))
+        grown[:rows, :cols] = cached
+        grown[:rows, cols:] = _kernel_matrix(d, knots[:rows], nodes[cols:])
+        grown[rows:] = _kernel_matrix(d, knots[rows:], nodes)
+        _KNOT_KERNELS[d] = cached = grown
+    return cached[: s.size, : rho.size]
 
 
 def _pt_tables(h: TestFunction, alpha: float, d: int, t_nodes, s_grid, budget: int = 1):
     """Phi on the (t, s) grid: Phi[i, j] = P_{t_i} h at any x with
-    |e^{-t_i} x - c| = s_j.
+    |e^{-t_i} x - c| = s_j, as the transposed view of an (n_s, n_t) array,
+    so that a spline along s copies nothing.
 
     The spherical phase kernel depends only on rho * s, so a single
-    kernel matrix serves every time node."""
+    kernel matrix serves every time node.  On a budget-1 table's knots it
+    is a view of the per-d cache ``_knot_kernels``; on any other grid it is
+    computed for this call and dropped."""
     rho, w = _rho_rule(h, budget)
+    s = np.asarray(s_grid, dtype=float)
     gh = np.real(np.asarray(h.radial_fourier(rho), dtype=complex))
-    a_k = _kernels(d, np.outer(np.asarray(s_grid, dtype=float), rho))
-    pref = (2.0 * math.pi) ** (-d)
+    # a table's knots span the whole uniform zone and at least one tail knot
+    if budget == 1 and s.size > _zones(1)[1] + 1 and np.array_equal(s, _knot_grid(1, s.size)):
+        a_k = _knot_kernels(d, s, rho)
+    else:
+        a_k = _kernel_matrix(d, s, rho)
     damp = np.exp(-0.5 * np.outer(1.0 - np.exp(-alpha * np.asarray(t_nodes)), rho**alpha))
     base = (gh * rho ** (d - 1) * w)[None, :] * damp  # (n_t, n_rho)
-    return pref * (base @ a_k.T)
+    phi = a_k @ base.T
+    phi *= (2.0 * math.pi) ** (-d)
+    return phi.T
 
 
 def _pt_profile(h: TestFunction, alpha: float, d: int, t: float, s_grid, budget: int = 1):
@@ -476,6 +540,23 @@ def semigroup_apply(
 _NEAR_S = 16.0
 _TAIL_DU = 0.01
 
+
+def _zones(budget: int):
+    """(ds, n0): the uniform zone's step and the index of its last knot."""
+    ds = 0.015 / budget
+    return ds, math.ceil(_NEAR_S / ds)
+
+
+def _knot_grid(budget: int, n: int) -> np.ndarray:
+    """The first n knots of the Stein tables: j ds for j <= n0, then
+    S0 e^{k du} for k >= 1, with S0 = n0 ds.  Knot i has the same bits for
+    every n."""
+    ds, n0 = _zones(budget)
+    s0 = n0 * ds
+    tail = [s0 * math.exp(_TAIL_DU * k) for k in range(1, n - n0)]
+    return np.concatenate([ds * np.arange(min(n, n0 + 1)), tail])
+
+
 # The time rule's panels in t: [_T_HEAD, 0.01], decades up to 1, octaves
 # up to 32, then one panel up to t_max; _T_NODES[i] Gauss-Legendre nodes
 # (times the budget) in log t on panel i.
@@ -523,6 +604,12 @@ class SteinSolution:
     the same table, as P_t(grad h)(x) = y Lambda_t(|y|) with
     Lambda_t(s) = Phi_t'(s) / s.
 
+    The profiles come from ``_pt_tables`` on ``_rho_rule``'s nodes
+    j delta, delta = 0.025 / budget, whose image sits at s = pi / delta for
+    every h.  At budget 1 the kernel matrix A_d(s rho) on these knots is
+    kept per d across solutions (``_KNOT_KERNELS``, 5.7 MB per d at the
+    widths a <= 1.25); a budget-2 build computes its own and keeps nothing.
+
     The distances s_i = |e^{-t_i} x - c| are built in d passes over
     (n_t, m) arrays, one coordinate at a time (``_rows``, ``_radii``):
     each pass forms y_k = e^{-t} x_k - c_k, squares it in place and adds
@@ -545,8 +632,7 @@ class SteinSolution:
 
     def _zones(self):
         """(ds, n0): the uniform zone's step and the index of its last knot."""
-        ds = 0.015 / self.budget
-        return ds, math.ceil(_NEAR_S / ds)
+        return _zones(self.budget)
 
     def _ensure_tables(self, s_needed: float):
         """Tabulate to at least max(80, 1.25 s_needed), on knots in two
@@ -560,10 +646,8 @@ class SteinSolution:
         if self._coef is not None and s_needed <= self._s_max:
             return
         ds, n0 = self._zones()
-        s0 = n0 * ds
-        n_tail = math.ceil(math.log(max(80.0, 1.25 * s_needed) / s0) / _TAIL_DU)
-        tail = [s0 * math.exp(_TAIL_DU * k) for k in range(1, n_tail + 1)]
-        s_grid = np.concatenate([ds * np.arange(n0 + 1), tail])
+        n_tail = math.ceil(math.log(max(80.0, 1.25 * s_needed) / (n0 * ds)) / _TAIL_DU)
+        s_grid = _knot_grid(self.budget, n0 + 1 + n_tail)
         n_t = self.t_nodes.size
         if _is_constant(self.h):
             # P_t h = h = E h for every t: flat profiles
@@ -633,11 +717,13 @@ class SteinSolution:
     def evaluate(self, x):
         """f_h(x) = -int_0^inf (P_t h(x) - E h) dt: the trapezoid rule on
         [0, t_head] plus the Gauss-Legendre panels of ``_time_rule`` up to
-        t_max.  x is one point of dimension law.dim or an (m, law.dim)
-        array; any other shape raises ``DomainError``.
+        t_max.  x is one point of dimension law.dim (in d = 1 also a
+        scalar), which gives a float, or an (m, law.dim) array, which gives
+        m values; any other shape raises ``DomainError``.
 
-        Past s ~ pi / step ~ 124 budget the profiles read the image that
-        ``_rho_rule``'s alternating weights put there, not Phi_t."""
+        Near s = pi / delta ~ 125.7 budget, whatever the bump, the profiles
+        read the image that ``_rho_rule``'s alternating weights put there,
+        not Phi_t."""
         pts = _points(x, self.law.dim)
         s = self._radii(np.square(yk, out=yk) for yk in self._rows(pts))
         integrand = self._table(s)
@@ -646,7 +732,7 @@ class SteinSolution:
         h0 = np.asarray(self.h.evaluate(pts), dtype=float) - self.mean_h
         head = 0.5 * self.t_head * (h0 + integrand[0])
         out = -(body + head)
-        return float(out[0]) if np.ndim(x) == 1 else out
+        return float(out[0]) if np.ndim(x) <= 1 else out
 
     def gradient_consistent(self, x):
         """Gradient of the tabulated surface itself (exact derivative of
@@ -669,7 +755,7 @@ class SteinSolution:
                 body += term
             head = 0.5 * self.t_head * (g0[:, k] + damp[0] * lam[0] * yk[0])
             out[:, k] = -(body + head)
-        return out[0] if np.ndim(x) == 1 else out
+        return out[0] if np.ndim(x) <= 1 else out
 
     gradient = gradient_consistent
 

@@ -606,3 +606,121 @@ class TestPointDimension:
         assert np.array_equal(sol.gradient(x), sol.gradient(x[None, :])[0])
         assert semigroup_apply(law, h, 0.5, x) == semigroup_apply(law, h, 0.5, 0.3)
         assert np.isfinite(verify_stein_solution(law, sol, x))
+
+
+class TestScalarPoint:
+    """In d = 1 a scalar is one point, as np.array([x]) is."""
+
+    def test_scalar_gives_what_a_length_one_vector_gives(self):
+        tf = gaussian_bump(1, a=1.0, center=[0.2])
+        sol = stein_solve(isotropic_stable_law(1.5, 1), tf.scaled(1.0 / max(tf.m_bounds)))
+        for x in (0.3, np.float64(-1.1), np.array(0.7)):
+            value, slope = sol.evaluate(x), sol.gradient(x)
+            assert isinstance(value, float)
+            assert value == sol.evaluate(np.array([float(x)]))
+            assert slope.shape == (1,)
+            assert np.array_equal(slope, sol.gradient(np.array([float(x)])))
+
+
+def _bump_rhs(d, a, center=None):
+    tf = gaussian_bump(d, a=a, center=center)
+    return tf.scaled(1.0 / max(tf.m_bounds))
+
+
+class TestRhoRule:
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_nodes_are_multiples_of_one_step(self, a, budget):
+        """rho_j = j delta bit for bit, delta = 0.025 / budget, on the
+        smallest even n with n delta >= rho_max = sqrt(168 a); Simpson
+        weights."""
+        rho, w = stein._rho_rule(gaussian_bump(1, a=a), budget)
+        step = 0.025 / budget
+        n = rho.size - 1
+        assert n % 2 == 0
+        assert np.array_equal(rho, step * np.arange(n + 1))
+        rho_max = math.sqrt(168.0 * a)
+        assert rho[-1] >= rho_max * (1.0 - 1e-12) and rho[-3] < rho_max
+        simpson = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
+        simpson[0] = simpson[-1] = 1.0
+        assert np.array_equal(w, simpson * (step / 3.0))
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_image_sits_at_pi_over_the_step_for_every_width(self, a, budget):
+        """The alternating part of the Simpson weights reads -Phi_t(0) / 3 at
+        s = pi / delta ~ 125.7 budget, whatever the bump.  At s = 62, where
+        the image of an a = 4 bump sat when the step scaled with the bump,
+        the profile is the bump's tail."""
+        h = gaussian_bump(1, a=a)
+        image = math.pi * budget / 0.025
+        phi = _pt_profile(h, 1.5, 1, 1e-3, np.array([0.0, 62.0, image]), budget)
+        assert phi[2] == pytest.approx(-phi[0] / 3.0, rel=1e-6)
+        assert abs(phi[1]) <= 1e-6
+
+
+class TestKnotKernelCache:
+    """The budget-1 kernel matrix A_d(s rho) on the tables' knots is kept
+    per d and only grows; values do not depend on what grew it."""
+
+    @staticmethod
+    def values(law, h, x):
+        sol = stein_solve(law, h)
+        return sol.evaluate(x), sol.gradient(x)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_values_do_not_depend_on_the_cache_history(self, monkeypatch, d):
+        law = isotropic_stable_law(1.5, d)
+        h = _bump_rhs(d, 1.0, np.linspace(0.3, -0.2, d))
+        x = spread_points(d, 40, seed=50 + d) / 3.0
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        cold_value, cold_slope = self.values(law, h, x)
+        cold_shape = stein._KNOT_KERNELS[d].shape
+
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        wide = stein_solve(law, _bump_rhs(d, 3.0))
+        wide._ensure_tables(300.0)
+        grown = stein._KNOT_KERNELS[d].shape
+        assert grown[0] > cold_shape[0] and grown[1] > cold_shape[1]
+        value, slope = self.values(law, h, x)
+        assert stein._KNOT_KERNELS[d].shape == grown
+        assert np.array_equal(value, cold_value)
+        assert np.array_equal(slope, cold_slope)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grown_matrix_is_the_kernel_on_the_knots(self, monkeypatch, d):
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        stein_solve(isotropic_stable_law(1.5, d), _bump_rhs(d, 1.0))._ensure_tables(30.0)
+        stein_solve(isotropic_stable_law(0.5, d), _bump_rhs(d, 2.0))._ensure_tables(20.0)
+        stein_solve(isotropic_stable_law(1.5, d), _bump_rhs(d, 0.5))._ensure_tables(200.0)
+        cached = stein._KNOT_KERNELS[d]
+        knots = stein._knot_grid(1, cached.shape[0])
+        rho = 0.025 * np.arange(cached.shape[1])
+        assert np.array_equal(cached, stein._kernels(d, np.outer(knots, rho)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_other_grids_leave_the_cache_alone(self, monkeypatch, d):
+        law = isotropic_stable_law(1.5, d)
+        h = _bump_rhs(d, 1.0)
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        stein_solve(law, h)._ensure_tables(10.0)
+        before = stein._KNOT_KERNELS[d]
+        snapshot = before.copy()
+        for x in (np.zeros(d), np.full(d, 0.4)):
+            semigroup_apply(law, h, 0.5, x)
+        t = np.array([1e-3, 0.5])
+        stein._pt_tables(h, 1.5, d, t, np.linspace(0.0, 20.0, 101), 1)
+        knots = stein._knot_grid(1, before.shape[0] + 5)
+        stein._pt_tables(h, 1.5, d, t, knots[1:], 1)
+        stein._pt_tables(h, 1.5, d, t, knots[: stein._zones(1)[1] + 1], 1)
+        assert list(stein._KNOT_KERNELS) == [d]
+        assert stein._KNOT_KERNELS[d] is before
+        assert np.array_equal(before, snapshot)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_budget_two_keeps_nothing(self, monkeypatch, d):
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        sol = stein_solve(isotropic_stable_law(1.5, d), _bump_rhs(d, 1.0), budget=2)
+        sol.evaluate(np.full((3, d), 0.5))
+        assert sol._coef is not None
+        assert stein._KNOT_KERNELS == {}
