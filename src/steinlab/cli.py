@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import platform
 import sys
@@ -112,6 +111,7 @@ _QUAD_FIELDS = {
     "R": int,
     "t_max": float,
 }
+_SECTIONS = (("run", _RUN_FIELDS), ("law", _LAW_FIELDS), ("quadrature", _QUAD_FIELDS))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -123,7 +123,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     values: dict = {}
-    for section, schema in (("run", _RUN_FIELDS), ("law", _LAW_FIELDS), ("quadrature", _QUAD_FIELDS)):
+    for section, schema in _SECTIONS:
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
@@ -140,7 +140,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     values[name] = kind(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-    extra = set(parser.sections()) - {"run", "law", "quadrature"}
+    extra = set(parser.sections()) - set(dict(_SECTIONS))
     if extra:
         raise ConfigError(f"unknown sections: {sorted(extra)}")
     cfg = ExperimentConfig(**values)
@@ -150,30 +150,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(c)) == c."""
-    out = io.StringIO()
-    out.write("[run]\n")
-    out.write(f"command = {cfg.command}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"n = {cfg.n}\n")
-    out.write(f"out = {cfg.out}\n")
-    out.write("\n[law]\n")
-    out.write(f"family = {cfg.family}\n")
-    out.write(f"alpha = {cfg.alpha!r}\n")
-    out.write(f"c = {cfg.c}\n")
-    out.write(f"lambda = {cfg.lam!r}\n")
-    out.write(f"d = {cfg.d}\n")
-    out.write(f"sphere_kind = {cfg.sphere_kind}\n")
-    out.write(f"sphere_atoms = {cfg.sphere_atoms}\n")
-    out.write(f"shift = {', '.join(repr(s) for s in cfg.shift)}\n")
-    out.write(f"rep = {cfg.rep}\n")
-    out.write("\n[quadrature]\n")
-    out.write(f"n_dirs = {cfg.n_dirs}\n")
-    out.write(f"budget = {cfg.budget}\n")
-    out.write(f"regime = {cfg.regime}\n")
-    out.write(f"R = {cfg.R}\n")
-    out.write(f"t_max = {cfg.t_max!r}\n")
-    return out.getvalue()
+    """Canonical text form, one line per schema field; parse(serialize(c)) == c."""
+    blocks = []
+    for section, schema in _SECTIONS:
+        lines = [f"[{section}]"]
+        for key, kind in schema.items():
+            value = getattr(cfg, "lam" if key == "lambda" else key)
+            if kind == "floats":
+                text = ", ".join(repr(v) for v in value)
+            else:
+                text = repr(value) if kind is float else str(value)
+            lines.append(f"{key} = {text}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def _build_law(cfg: ExperimentConfig):

@@ -38,9 +38,10 @@ is sum_kl C_k C_l T_kl(p), with tables T that depend on the density and
 the bump's width alone.  ``_ray_tables`` builds them by running the
 engine itself on the profiles, at ``RAY_PER_OCTAVE`` nodes per octave,
 with the knots as samples; the engines read them when passed
-``tables=``.  The Monte Carlo estimators (the five ``stein.residual_*``
-and ``dirichlet.poincare_residual``) build their tables once per call and
-every chunk reads them; a sample with the bump more than the tables'
+``tables=``.  The Monte Carlo estimators build them: the five
+``stein.residual_*`` build their tables once per call, through their one
+driver ``stein._jump_mean``, and so does ``dirichlet.poincare_residual``;
+every chunk reads them.  A sample with the bump more than the tables'
 reach ahead along some direction runs the engine at ``RAY_PER_OCTAVE``.
 Test functions without a ray split and every point evaluation (the
 generator, the carré du champs and Gamma_2 routes, the curvature check)

@@ -297,7 +297,7 @@ def uniform_sphere(d: int, n_atoms: Optional[int] = None) -> SphericalGrid:
     equal weights; the half set is the equally spaced angles in [0, pi)
     for d = 2 (default n = 256) and a low-discrepancy point set for
     d >= 3 (default n = 1024), one Halton base per coordinate for d >= 4,
-    so d <= 12.  An odd n is rounded up.  Total weight
+    so d <= 12.  An odd n is rounded up; n < 1 raises.  Total weight
     always equals the sphere's surface area, so integrals against the
     grid approximate integrals against the unnormalized uniform measure.
     """
@@ -308,6 +308,8 @@ def uniform_sphere(d: int, n_atoms: Optional[int] = None) -> SphericalGrid:
     if d == 1:
         return SphericalGrid(atoms=np.array([[1.0], [-1.0]]), weights=np.array([1.0, 1.0]))
     n = (256 if d == 2 else 1024) if n_atoms is None else int(n_atoms)
+    if n < 1:
+        raise DomainError(f"a sphere rule needs at least one atom, got {n_atoms}")
     n += n % 2
     m = n // 2
     if d == 2:

@@ -2,10 +2,12 @@
 residuals in every integrability regime, the non-local generator, the
 interpolating semigroup, and the equation solver with its verification.
 
-Residual estimators draw exact stable samples and evaluate the inner
-jump integral by quadrature per sample point; each estimator returns the
-per-regime identity's left-minus-right side as a Monte Carlo estimate
-whose distance from zero (in standard errors) is the test statistic.
+Each residual estimator is its identity's per-sample statistic of the
+sample point and its jump integral, run by one driver, ``_jump_mean``, that
+draws exact stable samples, builds the direction rule and the ray tables
+once per call, and reduces the statistic chunk by chunk into the identity's
+left-minus-right side as a Monte Carlo estimate whose distance from zero
+(in standard errors) is the test statistic.
 
 The semigroup path uses the radial frequency representation: for h with
 a radial transform profile G(rho) centered at c,
@@ -129,6 +131,19 @@ def _require_gradient(f: TestFunction):
 # ---------------------------------------------------------------------------
 
 
+def _jump_mean(law, f, n, seed, n_dirs, kind, dens, statistic) -> MCEstimate:
+    """E statistic(X, J(X)) over n exact draws of law, with J(X) the jump
+    integral of the ``kind`` engine against dens, on ``quad_sphere_for``'s
+    directions and read off ray tables built once for the call."""
+    batch = sample_stable_law(law, n, seed)
+    sphere = quad_sphere_for(law, n_dirs)
+    tables = _ray_tables(kind, f, dens)
+    # the jump_*_chunk engine imported above, looked up by name when called:
+    # perfbench/spans.py rebinds it
+    engine = globals()[f"jump_{kind}_chunk"]
+    return _chunked_mean(batch, lambda Z: statistic(Z, engine(f, Z, sphere, dens, tables=tables)))
+
+
 def residual_id(
     law: IDLaw,
     f: TestFunction,
@@ -147,29 +162,23 @@ def residual_id(
     kf = law.levy.kf
     if kf.family != "stable" or not (1.0 < kf.alpha < 2.0):
         raise UnsupportedFamilyError("the finite-mean residual samples stable laws with alpha in (1,2)")
-    batch = sample_stable_law(law, n, seed)
     mean_vec = convert_representation(law, "center_b1").shift
     dens = density_nu(kf)
-    sphere = quad_sphere_for(law, n_dirs)
-    tables = _ray_tables("vector", f, dens)
 
     if use_known_mean:
 
-        def per_chunk(Z):
+        def statistic(Z, jump):
             fz = np.asarray(f.evaluate(Z), dtype=float)
-            jump = jump_vector_chunk(f, Z, sphere, dens, tables=tables)
             return Z * fz[:, None] - mean_vec[None, :] * fz[:, None] - jump
 
-        est = _chunked_mean(batch, per_chunk)
-        diag = {"mean_vector": mean_vec}
-        return SteinResidual(estimate=est, regime="id_first_moment", diagnostics=diag)
+        est = _jump_mean(law, f, n, seed, n_dirs, "vector", dens, statistic)
+        return SteinResidual(estimate=est, regime="id_first_moment", diagnostics={"mean_vector": mean_vec})
 
-    def per_chunk_terms(Z):
+    def terms(Z, jump):
         fz = np.asarray(f.evaluate(Z), dtype=float)
-        jump = jump_vector_chunk(f, Z, sphere, dens, tables=tables)
         return np.concatenate([Z * fz[:, None], jump, Z, fz[:, None]], axis=1)
 
-    raw = _chunked_mean(batch, per_chunk_terms)
+    raw = _jump_mean(law, f, n, seed, n_dirs, "vector", dens, terms)
     d = law.dim
     xf, jump, xbar, fbar = (
         raw.value[:d],
@@ -190,6 +199,23 @@ def residual_id(
     )
 
 
+def _drift_residual(law, f, n, seed, n_dirs, density, scale, regime):
+    """E <X - b0, grad f(X)> - scale E int (f(X+u) - f(X)) mu(du), with mu
+    the measure of ``density``: the drift-form identity of
+    ``residual_stable_sub1`` (nu, scale alpha) and of ``residual_sd``'s
+    small-jump variant (nu~, scale 1), which agree since nu~ = alpha nu
+    for stable laws."""
+    _require_gradient(f)
+    b0 = convert_representation(law, "drift_b0").shift
+
+    def statistic(Z, jump):
+        g = np.asarray(f.gradient(Z), dtype=float)
+        return ((Z - b0[None, :]) * g).sum(axis=1) - scale * jump
+
+    est = _jump_mean(law, f, n, seed, n_dirs, "raw", density(law.levy.kf), statistic)
+    return SteinResidual(estimate=est, regime=regime, diagnostics={"b0": b0})
+
+
 def residual_stable_sub1(
     law: IDLaw, f: TestFunction, n: int, seed: int, n_dirs: int = 32
 ) -> SteinResidual:
@@ -198,45 +224,23 @@ def residual_stable_sub1(
     kf = law.levy.kf
     if kf.family != "stable" or not (0.0 < kf.alpha < 1.0):
         raise RegimeError("this identity is specific to stable laws with alpha in (0, 1)")
-    _require_gradient(f)
-    alpha = kf.alpha
-    b0 = convert_representation(law, "drift_b0").shift
-    batch = sample_stable_law(law, n, seed)
-    dens = density_nu(kf)
-    sphere = quad_sphere_for(law, n_dirs)
-    tables = _ray_tables("raw", f, dens)
-
-    def per_chunk(Z):
-        g = np.asarray(f.gradient(Z), dtype=float)
-        drift_term = ((Z - b0[None, :]) * g).sum(axis=1)
-        return drift_term - alpha * jump_raw_chunk(f, Z, sphere, dens, tables=tables)
-
-    est = _chunked_mean(batch, per_chunk)
-    return SteinResidual(estimate=est, regime="stable_sub1", diagnostics={"b0": b0})
+    return _drift_residual(law, f, n, seed, n_dirs, density_nu, kf.alpha, "stable_sub1")
 
 
 def _ball_residual(law, f, n, seed, n_dirs, regime, include_correction=True):
     kf = law.levy.kf
     _require_gradient(f)
-    trip = convert_representation(law, "triplet_b")
-    b = trip.shift
-    k1 = float(kf.k(1.0))
+    b = convert_representation(law, "triplet_b").shift
     mean_dir = law.levy.sphere.weights @ law.levy.sphere.atoms
-    batch = sample_stable_law(law, n, seed)
-    dens = density_tilde(kf)  # coincides with k/r when alpha = 1
-    sphere = quad_sphere_for(law, n_dirs)
-    tables = _ray_tables("ball", f, dens)
-    corr_vec = k1 * mean_dir if include_correction else np.zeros_like(mean_dir)
+    corr_vec = float(kf.k(1.0)) * mean_dir if include_correction else np.zeros_like(mean_dir)
 
-    def per_chunk(Z):
+    def statistic(Z, jump):
         g = np.asarray(f.gradient(Z), dtype=float)
-        drift_term = ((Z - b[None, :]) * g).sum(axis=1)
-        asym = g @ corr_vec
-        return drift_term + asym - jump_ball_chunk(f, Z, sphere, dens, tables=tables)
+        return ((Z - b[None, :]) * g).sum(axis=1) + g @ corr_vec - jump
 
-    est = _chunked_mean(batch, per_chunk)
-    diag = {"b": b, "k1_correction": corr_vec}
-    return SteinResidual(estimate=est, regime=regime, diagnostics=diag)
+    # density_tilde coincides with k/r when alpha = 1
+    est = _jump_mean(law, f, n, seed, n_dirs, "ball", density_tilde(kf), statistic)
+    return SteinResidual(estimate=est, regime=regime, diagnostics={"b": b, "k1_correction": corr_vec})
 
 
 def residual_cauchy(
@@ -271,20 +275,7 @@ def residual_sd(
             raise RegimeError("small-jump variant needs an integrable small-jump part")
         if kf.family != "stable":
             raise UnsupportedFamilyError("only stable members are sampleable")
-        _require_gradient(f)
-        b0 = convert_representation(law, "drift_b0").shift
-        batch = sample_stable_law(law, n, seed)
-        dens = density_tilde(kf)
-        sphere = quad_sphere_for(law, n_dirs)
-        tables = _ray_tables("raw", f, dens)
-
-        def per_chunk(Z):
-            g = np.asarray(f.gradient(Z), dtype=float)
-            drift_term = ((Z - b0[None, :]) * g).sum(axis=1)
-            return drift_term - jump_raw_chunk(f, Z, sphere, dens, tables=tables)
-
-        est = _chunked_mean(batch, per_chunk)
-        return SteinResidual(estimate=est, regime="sd_small_jump", diagnostics={"b0": b0})
+        return _drift_residual(law, f, n, seed, n_dirs, density_tilde, 1.0, "sd_small_jump")
     if variant == "general":
         if kf.family != "stable":
             raise UnsupportedFamilyError("only stable members are sampleable")
@@ -302,17 +293,12 @@ def residual_sd_finite_mean_form(
         raise RegimeError("the finite-mean rewriting needs a stable law with alpha in (1, 2)")
     _require_gradient(f)
     mean_vec = convert_representation(law, "center_b1").shift
-    batch = sample_stable_law(law, n, seed)
-    dens = density_nu(kf)
-    sphere = quad_sphere_for(law, n_dirs)
-    tables = _ray_tables("grad_diff", f, dens)
 
-    def per_chunk(Z):
+    def statistic(Z, jump):
         g = np.asarray(f.gradient(Z), dtype=float)
-        mean_term = ((mean_vec[None, :] - Z) * g).sum(axis=1)
-        return mean_term + jump_grad_diff_chunk(f, Z, sphere, dens, tables=tables)
+        return ((mean_vec[None, :] - Z) * g).sum(axis=1) + jump
 
-    est = _chunked_mean(batch, per_chunk)
+    est = _jump_mean(law, f, n, seed, n_dirs, "grad_diff", density_nu(kf), statistic)
     return SteinResidual(estimate=est, regime="sd_general", diagnostics={"mean": mean_vec})
 
 
@@ -423,20 +409,26 @@ def _kernel_matrix(d: int, s, rho) -> np.ndarray:
 # budget-1 rho nodes rho_j = j _RHO_STEP, one matrix per d.  Both are fixed
 # by their index, so the matrix only grows: a farther table appends rows, a
 # wider profile appends columns.  It holds the most rows and the most
-# columns any budget-1 build has needed: 5.7 MB per d for bumps of width
-# a <= 1.25 read out to s = 80.
+# columns any budget-1 build has needed, 5.7 MB per d for bumps of width
+# a <= 1.25 read out to s = 80, and never more than _KNOT_KERNEL_CAP
+# entries (16 MiB) per d.
 _KNOT_KERNELS: dict = {}
+_KNOT_KERNEL_CAP = 2**21
 
 
 def _knot_kernels(d: int, s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The (s.size, rho.size) corner of the cached budget-1 kernel matrix,
-    grown first if it is smaller; only the new blocks are computed.  s must
-    be the first s.size budget-1 knots and rho the first rho.size budget-1
-    nodes."""
+    grown first if it is smaller; only the new blocks are computed.  A
+    matrix that would grow past _KNOT_KERNEL_CAP entries is computed for
+    this call instead, with the same bits, and the cache is left as it is.
+    s must be the first s.size budget-1 knots and rho the first rho.size
+    budget-1 nodes."""
     cached = _KNOT_KERNELS.get(d, np.empty((0, 0)))
     rows, cols = cached.shape
     if s.size > rows or rho.size > cols:
         n_s, n_rho = max(rows, s.size), max(cols, rho.size)
+        if n_s * n_rho > _KNOT_KERNEL_CAP:
+            return _kernel_matrix(d, s, rho)
         knots, nodes = _knot_grid(1, n_s), _RHO_STEP * np.arange(n_rho)
         grown = np.empty((n_s, n_rho))
         grown[:rows, :cols] = cached
@@ -483,6 +475,12 @@ def _mean_h(h: TestFunction, alpha: float, d: int, budget: int = 1) -> float:
     return float(pref * np.sum(gh * np.exp(-(rho**alpha) / 2.0) * rho ** (d - 1) * w * a_k))
 
 
+def _check_budget(budget) -> None:
+    """Refuse a budget that is not a positive integer."""
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise DomainError(f"budget must be a positive integer, got {budget!r}")
+
+
 def _points(x, d: int) -> np.ndarray:
     """x as an (m, d) array of points; any other shape raises."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -507,6 +505,7 @@ def semigroup_apply(
     other law raises ``UnsupportedFamilyError``."""
     if t < 0.0:
         raise DomainError("t must be nonnegative")
+    _check_budget(budget)
     alpha = _isotropic_alpha(law)
     d = law.dim
     pts = _points(x, d)
@@ -608,7 +607,8 @@ class SteinSolution:
     j delta, delta = 0.025 / budget, whose image sits at s = pi / delta for
     every h.  At budget 1 the kernel matrix A_d(s rho) on these knots is
     kept per d across solutions (``_KNOT_KERNELS``, 5.7 MB per d at the
-    widths a <= 1.25); a budget-2 build computes its own and keeps nothing.
+    widths a <= 1.25, at most 16 MiB per d); a budget-2 build, or one that
+    would grow the cache past that, computes its own and keeps nothing.
 
     The distances s_i = |e^{-t_i} x - c| are built in d passes over
     (n_t, m) arrays, one coordinate at a time (``_rows``, ``_radii``):
@@ -784,7 +784,9 @@ def stein_solve(law: IDLaw, h: TestFunction, budget: int = 1) -> SteinSolution:
 
     Requires h with a radial transform profile, normalized so that its
     value, gradient, and Hessian bounds are all at most one.  A constant
-    h gives the zero solution, since P_t h - E h vanishes identically."""
+    h gives the zero solution, since P_t h - E h vanishes identically.
+    The budget must be a positive integer."""
+    _check_budget(budget)
     alpha = _isotropic_alpha(law)
     if _is_constant(h):
         mean_h = float(h.evaluate(np.zeros(law.dim)))
@@ -832,6 +834,7 @@ def verify_stein_solution(
         raise DomainError(f"a solution in dimension {sol.law.dim} cannot be verified against a law in dimension {d}")
     pts = _points(points, d)
     budget = budget if budget is not None else sol.budget
+    _check_budget(budget)
     kf = law.levy.kf
     dens = density_tilde(kf)
     m = pts.shape[0]

@@ -123,6 +123,20 @@ class TestCommands:
         capsys.readouterr()
         assert code == EXIT_USAGE
 
+    def test_budget_zero_is_usage_error(self, capsys):
+        code = run(["solve-stein", "--alpha", "1.5", "--d", "1", "--budget", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error:") and "budget" in captured.err
+
+    def test_zero_directions_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "residual.ini"
+        cfg.write_text(serialize_config(ExperimentConfig(command="residual", d=2, n=2000, n_dirs=0)))
+        code = run(["residual", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error:") and "atom" in captured.err
+
     def test_rigidity_small(self, capsys):
         for d in ("2", "3"):
             code = run(["rigidity", "--alpha", "1.5", "--d", d, "--R", "16"])

@@ -171,6 +171,14 @@ class TestSphericalGrids:
         with pytest.raises(DomainError, match="d <= 12"):
             isotropic_stable_law(1.5, 13)
 
+    @pytest.mark.parametrize("d, n_atoms", [(2, 0), (3, -1), (2, -3)])
+    def test_fewer_than_one_atom_is_a_domain_error(self, d, n_atoms):
+        with pytest.raises(DomainError, match="at least one atom"):
+            uniform_sphere(d, n_atoms)
+
+    def test_d1_keeps_its_two_points_whatever_the_count(self):
+        assert uniform_sphere(1, 0).atoms.tolist() == [[1.0], [-1.0]]
+
     def test_atoms_are_unit(self):
         for d in (1, 2, 3, 4):
             g = uniform_sphere(d)

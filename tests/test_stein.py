@@ -188,6 +188,27 @@ class TestResidualSD:
         assert set(doc) == {"regime", "estimate", "std_error", "n", "per_term"}
 
 
+class TestGradientRequired:
+    """Every gradient residual refuses a test function without a gradient."""
+
+    f = dataclasses.replace(gaussian_bump(1), gradient=None)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: residual_stable_sub1(isotropic_stable_law(0.5, 1), f, 1000, seed=0),
+            lambda f: residual_cauchy(isotropic_stable_law(1.0, 1), f, 1000, seed=0),
+            lambda f: residual_sd(isotropic_stable_law(0.5, 1), "small_jump", f, 1000, seed=0),
+            lambda f: residual_sd(isotropic_stable_law(1.5, 1), "general", f, 1000, seed=0),
+            lambda f: residual_sd_finite_mean_form(isotropic_stable_law(1.5, 1), f, 1000, seed=0),
+        ],
+        ids=["stable_sub1", "cauchy", "sd_small_jump", "sd_general", "sd_finite_mean_form"],
+    )
+    def test_missing_gradient_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="gradient"):
+            call(self.f)
+
+
 class TestGenerator:
     def test_constant_vanishes(self):
         law = isotropic_stable_law(1.5, 1)
@@ -627,6 +648,19 @@ def _bump_rhs(d, a, center=None):
     return tf.scaled(1.0 / max(tf.m_bounds))
 
 
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    def test_stein_entry_points_refuse_a_budget_below_one_or_fractional(self, budget):
+        law = isotropic_stable_law(1.5, 1)
+        h = _bump_rhs(1, 1.0)
+        with pytest.raises(DomainError, match="budget"):
+            stein_solve(law, h, budget=budget)
+        with pytest.raises(DomainError, match="budget"):
+            semigroup_apply(law, h, 0.5, [0.3], budget=budget)
+        with pytest.raises(DomainError, match="budget"):
+            verify_stein_solution(law, stein_solve(law, h), [[0.3]], budget=budget)
+
+
 class TestRhoRule:
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
@@ -724,3 +758,37 @@ class TestKnotKernelCache:
         sol.evaluate(np.full((3, d), 0.5))
         assert sol._coef is not None
         assert stein._KNOT_KERNELS == {}
+
+    def test_a_narrow_bump_leaves_the_cache_within_its_cap(self, monkeypatch):
+        """A bump of width a = 100 needs a (1229, 5187) matrix at budget 1,
+        past the cap, and one read at x = 1e4 a (1735, 5187) one: both builds
+        compute their kernel in place and leave the cache as it is, and the
+        values do not depend on what the cache held."""
+        law = isotropic_stable_law(1.5, 1)
+        h = _bump_rhs(1, 100.0)
+        x = np.array([[0.0], [0.05], [0.3], [1e4]])
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        cold_value, cold_slope = self.values(law, h, x)
+        assert stein._KNOT_KERNELS == {}
+        stein_solve(law, _bump_rhs(1, 1.0))._ensure_tables(80.0)
+        held = stein._KNOT_KERNELS[1]
+        value, slope = self.values(law, h, x)
+        assert stein._KNOT_KERNELS[1] is held
+        assert held.size <= stein._KNOT_KERNEL_CAP
+        assert np.array_equal(value, cold_value)
+        assert np.array_equal(slope, cold_slope)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_builds_past_the_cap_keep_the_bits_of_the_cache(self, monkeypatch, d):
+        law = isotropic_stable_law(1.5, d)
+        h = _bump_rhs(d, 1.0, np.linspace(0.3, -0.2, d))
+        x = spread_points(d, 40, seed=60 + d) / 3.0
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        cached_value, cached_slope = self.values(law, h, x)
+        assert d in stein._KNOT_KERNELS
+        monkeypatch.setattr(stein, "_KNOT_KERNELS", {})
+        monkeypatch.setattr(stein, "_KNOT_KERNEL_CAP", 0)
+        value, slope = self.values(law, h, x)
+        assert stein._KNOT_KERNELS == {}
+        assert np.array_equal(value, cached_value)
+        assert np.array_equal(slope, cached_slope)
