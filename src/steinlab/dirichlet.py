@@ -42,7 +42,7 @@ from .jumps import (
 from .levy import IDLaw
 from .numerics import TestFunction, _ray_points, _simpson_rule, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
-from .stein import _chunked_mean, _isotropic_alpha, _kernels, generator_apply, generator_tilt
+from .stein import _check_dim, _chunked_mean, _isotropic_alpha, _kernels, _point, _points, generator_apply, generator_tilt
 
 __all__ = [
     "RatioReport",
@@ -104,7 +104,9 @@ def gamma1(law: IDLaw, f: TestFunction, g: TestFunction, x, route: str = "integr
     """Carré du champs Gamma(f, g)(x), either as the squared-increment
     integral against the derived measure or through the generator algebra
     (1/2)(A(fg) - f A g - g A f)."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x, law.dim)
+    _check_dim(f, law.dim)
+    _check_dim(g, law.dim)
     if _is_constant(f) or _is_constant(g):
         return 0.0  # increments of a constant vanish identically
     dens = density_tilde(law.levy.kf)
@@ -147,7 +149,8 @@ def gamma2(law: IDLaw, f: TestFunction, x, route: str = "integral") -> float:
     ``UnsupportedFamilyError`` for any other.  'recursion':
     (1/2)(A Gamma(f,f) - 2 Gamma(A f, f)) with the inner objects evaluated
     by quadrature, for any law."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x, law.dim)
+    _check_dim(f, law.dim)
     if _is_constant(f):
         return 0.0
     kf = law.levy.kf
@@ -251,7 +254,8 @@ def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
     if f.radial_fourier is None or f.fourier_center is None:
         raise DomainError("the symbol route needs a radially shifted bump")
-    s = float(np.linalg.norm(np.asarray(x, dtype=float) - f.fourier_center))
+    _check_dim(f, d)
+    s = float(np.linalg.norm(_point(x, d) - f.fourier_center))
     rho, w_rho = _simpson_rule(0.0, 14.0, 385)
     if d == 1:
         delta, w_delta = np.array([0.0, math.pi]), np.ones(2)
@@ -281,9 +285,10 @@ def bakry_emery_check(law: IDLaw, f_list: Sequence[TestFunction], grid) -> float
     law of the isotropy rule ``levy._is_isotropic``; any other law raises
     ``UnsupportedFamilyError``."""
     alpha = _isotropic_alpha(law, centred=False)
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    pts = _points(grid, law.dim)
     worst = math.inf
     for f in f_list:
+        _check_dim(f, law.dim)
         gap = _second_difference_double(law, f, pts)
         worst = min(worst, float(np.min(gap)))
     return worst
@@ -331,6 +336,11 @@ def _check_rate_args(alpha, d, j):
         raise DomainError("coordinate index out of range")
 
 
+def _check_radius(R):
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"the truncation radius R must be positive and finite, got {R}")
+
+
 def _radial_rate_quad(alpha, d, fn, n=4001):
     """int_0^H fn(rho) rho^{d-1} drho: Simpson on n nodes in u = log rho
     above _RATE_LO plus the analytic power-law cell below it (fn ~
@@ -348,14 +358,9 @@ def _radial_rate_quad(alpha, d, fn, n=4001):
     return val
 
 
-def _psi2_transform(d):
-    # transform of exp(-2|x|^2)
-    return lambda rho: (math.pi / 2.0) ** (d / 2.0) * np.exp(-np.asarray(rho) ** 2 / 8.0)
-
-
 def _numerator(alpha, d, R, n=4001):
     """E g_{R,j}^2 with the radial integral on n nodes."""
-    F2 = _psi2_transform(d)
+    F2 = gaussian_bump(d, a=2.0).radial_fourier  # transform of exp(-2|x|^2)
 
     def fn(rho):
         damp = np.exp(-(rho**alpha) / (2.0 * R**alpha))
@@ -372,13 +377,14 @@ def rate_numerator(alpha: float, d: int, R: float, j: int = 0) -> float:
     frequency-domain formula (the variance, since E g = 0).  Rotation
     invariance makes it the same for every j."""
     _check_rate_args(alpha, d, j)
+    _check_radius(R)
     return _numerator(alpha, d, R)
 
 
 def rate_numerator_limit(alpha: float, d: int, j: int = 0) -> float:
     """Limit of E g^2 / R^(2-alpha): the damped terms dropped."""
     _check_rate_args(alpha, d, j)
-    F2 = _psi2_transform(d)
+    F2 = gaussian_bump(d, a=2.0).radial_fourier
     fn = lambda rho: F2(rho) * (alpha / 2.0) * rho ** (alpha - 2.0) * (1.0 + (alpha - 2.0) / d)
     return surface_area(d) * _radial_rate_quad(alpha, d, fn) / (2.0 * math.pi) ** d
 
@@ -451,6 +457,7 @@ def rate_denominator(alpha: float, d: int, R: float, j: int = 0) -> float:
     201 Simpson nodes in log |xi| on [1e-7, 40], and 201 in log |w| with
     the analytic w^(alpha-2) cell below 1e-7 (`_radial_rate_quad`)."""
     _check_rate_args(alpha, d, j)
+    _check_radius(R)
     return _denominator(alpha, d, R)
 
 
@@ -470,7 +477,8 @@ def u_ratio_curve(alpha: float, d: int, j: int, R_list: Sequence[float]) -> list
     energy taken against the stable Lévy measure itself (so the ratio
     approaches one).  Each report's err is the change in the ratio when
     both sides are recomputed at half resolution: the numerator on 2001
-    of its 4001 nodes, the denominator on 101 x 101 of its 201 x 201."""
+    of its 4001 nodes, the denominator on 101 x 101 of its 201 x 201.
+    Every R must be positive and finite, as for the two rate integrals."""
     out = []
     for R in R_list:
         R = float(R)

@@ -206,7 +206,7 @@ def sample_stable_law(law: IDLaw, n: int, seed: int, stream: int = 0) -> SampleB
     rng = make_rng(seed, stream)
     pts = np.zeros((n, d))
     if alpha < 1.0:
-        drift = law if law.rep == "drift_b0" else convert_representation(law, "drift_b0")
+        drift = convert_representation(law, "drift_b0")
         g_neg = math.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))  # gamma(-alpha)
         for x, w in zip(sphere.atoms, sphere.weights):
             ray_scale = -w * kf.c * g_neg  # = w c |gamma(-alpha)| > 0
@@ -215,7 +215,7 @@ def sample_stable_law(law: IDLaw, n: int, seed: int, stream: int = 0) -> SampleB
         pts += drift.shift
         return SampleBatch(points=pts, seed=seed, law=desc)
     if alpha == 1.0:
-        trip = law if law.rep == "triplet_b" else convert_representation(law, "triplet_b")
+        trip = convert_representation(law, "triplet_b")
         for x, w in zip(sphere.atoms, sphere.weights):
             y = _skewed_cauchy_ray(float(w), kf.c, n, rng)
             pts += y[:, None] * x

@@ -16,7 +16,10 @@ a radial transform profile G(rho) centered at c,
              = (2pi)^-d int_0^inf G(rho) A_d(rho |y|) chi_t(rho) rho^{d-1} drho,
 
 with y = e^{-t} x - c, A_d the spherical phase average, and chi_t the
-characteristic-function ratio of the interpolating family.  Solutions of
+characteristic-function ratio of the interpolating family.  This one
+Simpson sum in rho (``_pt_tables``) gives every profile: E h = P_inf h is
+its t = inf row, chi_inf = e^{-rho^alpha/2}, read at |y| = |c|, and A_d is
+taken in place over the fresh product of s and rho.  Solutions of
 the Stein equation are time integrals of this kernel, on a composite
 Gauss-Legendre rule in log t (``_time_rule``): panels of a decade below
 t = 1 and of an octave from 1 to 32, with 79 nodes at budget 1 for
@@ -124,6 +127,29 @@ def residual_regime(law: IDLaw) -> str:
 def _require_gradient(f: TestFunction):
     if f.gradient is None:
         raise DomainError("this residual needs a test function with a gradient")
+
+
+def _points(x, d: int) -> np.ndarray:
+    """x as an (m, d) array of points; any other shape raises."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DomainError(f"points of shape {np.shape(x)} do not lie in dimension {d}")
+    return pts
+
+
+def _point(x, d: int) -> np.ndarray:
+    """x as one point of dimension d (in d = 1 also a scalar); any other
+    shape, or more than one point, raises."""
+    pts = _points(x, d)
+    if pts.shape[0] != 1:
+        raise DomainError(f"this operation takes one point, got {pts.shape[0]}")
+    return pts[0]
+
+
+def _check_dim(f: TestFunction, d: int) -> None:
+    """Refuse a test function whose declared dimension is not d."""
+    if f.dim is not None and f.dim != d:
+        raise DomainError(f"a test function of dimension {f.dim} cannot act in dimension {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +345,8 @@ def generator_apply(law: IDLaw, f: TestFunction, x, n_dirs: int = 64) -> float:
     """A f(x) = <b~ - x, grad f(x)> + int (f(x+u) - f(x) - <grad f(x), u>
     1_{|u|<=1}) dnu~(u), by quadrature."""
     _require_gradient(f)
-    x = np.asarray(x, dtype=float)
+    _check_dim(f, law.dim)
+    x = _point(x, law.dim)
     dens = density_tilde(law.levy.kf)
     sphere = quad_sphere_for(law, n_dirs)
     bt = generator_tilt(law)
@@ -343,16 +370,21 @@ def _isotropic_alpha(law: IDLaw, centred: bool = True) -> float:
     return law.levy.kf.alpha
 
 
-def _kernels(d: int, z):
+def _kernels(d: int, z: np.ndarray) -> np.ndarray:
     """A_d(z) = int_{S^{d-1}} e^{i z <e, w>} dw, the spherical phase average.
 
     Exact closed forms for d <= 3 (cosine, Bessel J0, sinc); the general
-    Bessel-quotient form with a series guard otherwise."""
-    z = np.asarray(z, dtype=float)
+    Bessel-quotient form with a series guard otherwise.  z must be a fresh
+    float array: in d <= 2 the kernel is taken in place over it and z
+    itself is returned."""
     if d == 1:
-        return 2.0 * np.cos(z)
+        np.cos(z, out=z)
+        z *= 2.0
+        return z
     if d == 2:
-        return 2.0 * math.pi * j0(z)
+        j0(z, out=z)
+        z *= 2.0 * math.pi
+        return z
     if d == 3:
         return 4.0 * math.pi * np.sinc(z / math.pi)
     nu = d / 2.0 - 1.0
@@ -389,22 +421,6 @@ def _rho_rule(h: TestFunction, budget: int):
     return step * np.arange(n + 1), _simpson_weights(n + 1, step)
 
 
-def _kernel_matrix(d: int, s, rho) -> np.ndarray:
-    """A_d(s_i rho_j) as a new (s.size, rho.size) array, with the bits of
-    ``_kernels(d, np.outer(s, rho))``.  In d <= 2 the kernel is taken in
-    place over the outer product, so no second array is made."""
-    z = np.outer(s, rho)
-    if d == 1:
-        np.cos(z, out=z)
-        z *= 2.0
-    elif d == 2:
-        j0(z, out=z)
-        z *= 2.0 * math.pi
-    else:
-        z = _kernels(d, z)
-    return z
-
-
 # A_d(s_i rho_j) on the budget-1 knots s_i of the Stein tables and the
 # budget-1 rho nodes rho_j = j _RHO_STEP, one matrix per d.  Both are fixed
 # by their index, so the matrix only grows: a farther table appends rows, a
@@ -428,12 +444,12 @@ def _knot_kernels(d: int, s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     if s.size > rows or rho.size > cols:
         n_s, n_rho = max(rows, s.size), max(cols, rho.size)
         if n_s * n_rho > _KNOT_KERNEL_CAP:
-            return _kernel_matrix(d, s, rho)
+            return _kernels(d, np.outer(s, rho))
         knots, nodes = _knot_grid(1, n_s), _RHO_STEP * np.arange(n_rho)
         grown = np.empty((n_s, n_rho))
         grown[:rows, :cols] = cached
-        grown[:rows, cols:] = _kernel_matrix(d, knots[:rows], nodes[cols:])
-        grown[rows:] = _kernel_matrix(d, knots[rows:], nodes)
+        grown[:rows, cols:] = _kernels(d, np.outer(knots[:rows], nodes[cols:]))
+        grown[rows:] = _kernels(d, np.outer(knots[rows:], nodes))
         _KNOT_KERNELS[d] = cached = grown
     return cached[: s.size, : rho.size]
 
@@ -446,7 +462,9 @@ def _pt_tables(h: TestFunction, alpha: float, d: int, t_nodes, s_grid, budget: i
     The spherical phase kernel depends only on rho * s, so a single
     kernel matrix serves every time node.  On a budget-1 table's knots it
     is a view of the per-d cache ``_knot_kernels``; on any other grid it is
-    computed for this call and dropped."""
+    taken in place over np.outer(s, rho) for this call and dropped.  A time
+    node may be inf: its damping is e^{-rho^alpha/2} and its row is E h
+    (``_mean_h``)."""
     rho, w = _rho_rule(h, budget)
     s = np.asarray(s_grid, dtype=float)
     gh = np.real(np.asarray(h.radial_fourier(rho), dtype=complex))
@@ -454,7 +472,7 @@ def _pt_tables(h: TestFunction, alpha: float, d: int, t_nodes, s_grid, budget: i
     if budget == 1 and s.size > _zones(1)[1] + 1 and np.array_equal(s, _knot_grid(1, s.size)):
         a_k = _knot_kernels(d, s, rho)
     else:
-        a_k = _kernel_matrix(d, s, rho)
+        a_k = _kernels(d, np.outer(s, rho))
     damp = np.exp(-0.5 * np.outer(1.0 - np.exp(-alpha * np.asarray(t_nodes)), rho**alpha))
     base = (gh * rho ** (d - 1) * w)[None, :] * damp  # (n_t, n_rho)
     phi = a_k @ base.T
@@ -467,26 +485,16 @@ def _pt_profile(h: TestFunction, alpha: float, d: int, t: float, s_grid, budget:
 
 
 def _mean_h(h: TestFunction, alpha: float, d: int, budget: int = 1) -> float:
-    rho, w = _rho_rule(h, budget)
-    gh = np.real(np.asarray(h.radial_fourier(rho), dtype=complex))
+    """E h = P_inf h: the t = inf profile, whose damping is e^{-rho^alpha/2},
+    read at s = |c|."""
     c = h.fourier_center if h.fourier_center is not None else np.zeros(d)
-    a_k = _kernels(d, np.linalg.norm(c) * rho)
-    pref = (2.0 * math.pi) ** (-d)
-    return float(pref * np.sum(gh * np.exp(-(rho**alpha) / 2.0) * rho ** (d - 1) * w * a_k))
+    return float(_pt_profile(h, alpha, d, math.inf, np.array([np.linalg.norm(c)]), budget)[0])
 
 
 def _check_budget(budget) -> None:
     """Refuse a budget that is not a positive integer."""
     if not isinstance(budget, (int, np.integer)) or budget < 1:
         raise DomainError(f"budget must be a positive integer, got {budget!r}")
-
-
-def _points(x, d: int) -> np.ndarray:
-    """x as an (m, d) array of points; any other shape raises."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise DomainError(f"points of shape {np.shape(x)} do not lie in dimension {d}")
-    return pts
 
 
 def semigroup_apply(
@@ -508,10 +516,8 @@ def semigroup_apply(
     _check_budget(budget)
     alpha = _isotropic_alpha(law)
     d = law.dim
-    pts = _points(x, d)
-    if pts.shape[0] != 1:
-        raise DomainError("semigroup_apply takes one point")
-    x = pts[0]
+    _check_dim(h, d)
+    x = _point(x, d)
     if mode == "fourier":
         if h.radial_fourier is None:
             raise UnsupportedFamilyError("fourier mode needs a radial transform profile")
@@ -788,6 +794,7 @@ def stein_solve(law: IDLaw, h: TestFunction, budget: int = 1) -> SteinSolution:
     The budget must be a positive integer."""
     _check_budget(budget)
     alpha = _isotropic_alpha(law)
+    _check_dim(h, law.dim)
     if _is_constant(h):
         mean_h = float(h.evaluate(np.zeros(law.dim)))
     else:

@@ -137,6 +137,15 @@ class TestCommands:
         assert code == EXIT_USAGE
         assert captured.err.startswith("error:") and "atom" in captured.err
 
+    @pytest.mark.parametrize("R", ["0", "-3"])
+    def test_rigidity_radius_not_positive_is_usage_error(self, R, capsys):
+        code = run(["rigidity", "--alpha", "1.5", "--d", "1", "--R", R])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "radius" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_rigidity_small(self, capsys):
         for d in ("2", "3"):
             code = run(["rigidity", "--alpha", "1.5", "--d", d, "--R", "16"])

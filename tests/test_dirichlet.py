@@ -389,6 +389,16 @@ class TestRateIntegrals:
         with pytest.raises(DomainError):
             rate_numerator(0.7, 2, 8.0)
 
+    @pytest.mark.parametrize("R", [0.0, -3.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, R):
+        for call in (
+            lambda: rate_numerator(1.5, 1, R),
+            lambda: rate_denominator(1.5, 1, R),
+            lambda: u_ratio_curve(1.5, 1, 0, [R]),
+        ):
+            with pytest.raises(DomainError, match="radius"):
+                call()
+
     def test_coordinate_index_domain(self):
         for rate in (rate_numerator, rate_denominator):
             for j in (-1, 1):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.special import j0, jv
 
 from steinlab import DomainError, RegimeError, UnsupportedFamilyError, stein
+from steinlab.dirichlet import bakry_emery_check, gamma1, gamma2, gamma2_symbol_value
 from steinlab.levy import (
     IDLaw,
     LevyPolar,
@@ -304,6 +306,19 @@ class TestSemigroup:
         direct = semigroup_apply(law, h, s + t, x)
         assert outer == pytest.approx(direct, abs=2.5e-3)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mean_against_exact_draws(self, alpha, d):
+        """E h, read as the t = inf profile, against the Monte Carlo mean of
+        h over exact draws; P_inf h is E h bit for bit at any x."""
+        law = isotropic_stable_law(alpha, d)
+        h = gaussian_bump(d, a=0.8, center=np.linspace(0.6, -0.4, d))
+        eh = _mean_h(h, alpha, d)
+        est = mc_expectation(lambda p: h.evaluate(p), sample_isotropic_stable(alpha, d, 2**18, seed=17))
+        assert abs(eh - float(est.value)) <= 4.0 * float(est.std_error)
+        for x in (np.zeros(d), np.linspace(-1.3, 2.1, d)):
+            assert semigroup_apply(law, h, math.inf, x) == eh
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_profile_at_time_zero_is_h(self, d):
         # P_0 h = h: covers every branch of the spherical kernel A_d
@@ -586,6 +601,35 @@ class TestTimeRule:
         assert np.max(np.abs(sol.gradient(x) - ref.gradient(x))) <= 1e-7
 
 
+# a d = 2 law with a d = 2 bump F2 and a d = 1 bump F1
+_L2 = isotropic_stable_law(1.5, 2)
+_F2 = gaussian_bump(2, a=1.0, center=[0.3, -0.2])
+_F1 = gaussian_bump(1, a=1.0, center=[0.3]).scaled(0.5)
+_X1, _X22 = np.array([0.3]), np.zeros((2, 2))
+_WRONG_DIMENSION = {
+    "generator_point": lambda: generator_apply(_L2, _F2, _X1),
+    "generator_two_points": lambda: generator_apply(_L2, _F2, _X22),
+    "generator_function": lambda: generator_apply(_L2, _F1, _X22[0]),
+    "gamma1_integral_point": lambda: gamma1(_L2, _F2, _F2, _X1, "integral"),
+    "gamma1_generator_point": lambda: gamma1(_L2, _F2, _F2, _X1, "generator"),
+    "gamma1_two_points": lambda: gamma1(_L2, _F2, _F2, _X22, "integral"),
+    "gamma1_function": lambda: gamma1(_L2, _F2, _F1, _X22[0], "integral"),
+    "gamma2_integral_point": lambda: gamma2(_L2, _F2, _X1, "integral"),
+    "gamma2_symbol_point": lambda: gamma2(_L2, _F2, _X1, "symbol"),
+    "gamma2_recursion_point": lambda: gamma2(_L2, _F2, _X1, "recursion"),
+    "gamma2_two_points": lambda: gamma2(_L2, _F2, _X22, "symbol"),
+    "gamma2_function": lambda: gamma2(_L2, _F1, _X22[0], "integral"),
+    "symbol_value_point": lambda: gamma2_symbol_value(_F2, 1.5, 2, _X1),
+    "symbol_value_two_points": lambda: gamma2_symbol_value(_F2, 1.5, 2, _X22),
+    "symbol_value_function": lambda: gamma2_symbol_value(_F1, 1.5, 2, _X22[0]),
+    "bakry_emery_points": lambda: bakry_emery_check(_L2, [_F2], [_X1]),
+    "bakry_emery_function": lambda: bakry_emery_check(_L2, [_F1], _X22),
+    "semigroup_point": lambda: semigroup_apply(_L2, _F2, 0.5, _X1),
+    "semigroup_function": lambda: semigroup_apply(_L2, _F1, 0.5, _X22[0]),
+    "solver_function": lambda: stein_solve(_L2, _F1),
+}
+
+
 class TestPointDimension:
     """Points whose last axis is not the law's dimension raise."""
 
@@ -619,6 +663,13 @@ class TestPointDimension:
         law, h, _ = self.case(2)
         with pytest.raises(DomainError):
             semigroup_apply(law, h, 0.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("call", _WRONG_DIMENSION.values(), ids=_WRONG_DIMENSION.keys())
+    def test_wrong_dimension_is_a_domain_error(self, call):
+        """Points of the wrong dimension, more than one point where one is
+        read, and test functions of the wrong dimension all raise."""
+        with pytest.raises(DomainError):
+            call()
 
     def test_d1_point_as_a_length_one_vector(self):
         law, h, sol = self.case(1)
@@ -659,6 +710,35 @@ class TestBudget:
             semigroup_apply(law, h, 0.5, [0.3], budget=budget)
         with pytest.raises(DomainError, match="budget"):
             verify_stein_solution(law, stein_solve(law, h), [[0.3]], budget=budget)
+
+
+class TestKernels:
+    """A_d(z), the spherical phase average, taken in place over a fresh z."""
+
+    Z = np.array([0.0, 3e-9, -7e-7, 2e-6, 0.3, -1.7, 4.2, 9.5, 33.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_closed_forms(self, d):
+        z = self.Z.copy()
+        sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)  # |S^{d-1}| = A_d(0)
+        if d == 1:
+            ref = 2.0 * np.cos(self.Z)
+        elif d == 2:
+            ref = 2.0 * math.pi * j0(self.Z)
+        elif d == 3:
+            ref = 4.0 * math.pi * np.sinc(self.Z / math.pi)
+        else:
+            nu = d / 2.0 - 1.0
+            zz = np.abs(self.Z)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ref = (2.0 * math.pi) ** (d / 2.0) * jv(nu, zz) / zz**nu
+            ref[zz < 1e-6] = sphere  # the series branch
+        out = stein._kernels(d, z)
+        assert np.max(np.abs(out - ref)) <= 1e-15 * sphere
+        if d <= 2:
+            assert out is z
+        else:
+            assert np.array_equal(z, self.Z)
 
 
 class TestRhoRule:
