@@ -479,9 +479,11 @@ def u_ratio_curve(alpha: float, d: int, j: int, R_list: Sequence[float]) -> list
     both sides are recomputed at half resolution: the numerator on 2001
     of its 4001 nodes, the denominator on 101 x 101 of its 201 x 201.
     Every R must be positive and finite, as for the two rate integrals."""
+    radii = [float(R) for R in R_list]
+    for R in radii:
+        _check_radius(R)
     out = []
-    for R in R_list:
-        R = float(R)
+    for R in radii:
         num, den = rate_numerator(alpha, d, R, j), (2.0 / alpha) * rate_denominator(alpha, d, R, j)
         num_lo, den_lo = _numerator(alpha, d, R, 2001), (2.0 / alpha) * _denominator(alpha, d, R, 101)
         ratio = num / den

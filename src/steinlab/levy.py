@@ -16,12 +16,15 @@ weights against the radial profile integral
 
 of one phase phi; sigma~ and rho~ are the cocycles
 S(xi + zeta) - S(xi) - S(zeta) of the ball and the sigma profile sums of
-nu~.  Profiles are evaluated on adaptive log grids with cancellation-safe
-phase functions, an analytic Taylor correction below the smallest node,
-and three-term integration-by-parts tails for the oscillatory part; pure
-power-law profiles are reduced to cached base integrals at |s| = 1
-through exact scaling, and the center form is the ball form less one
-tail moment.
+nu~.  Profiles are evaluated with cancellation-safe phase functions, an
+analytic Taylor correction below the smallest node, and three-term
+integration-by-parts tails for the oscillatory part.  One integrator,
+``_log_quad_panels``, takes the panels of every frequency of a profile
+sum at once: all panels advance one level of a nested log-Simpson grid
+per pass, each level evaluates only its new nodes, and a panel's value
+does not depend on the others in the batch.  Pure power-law profiles are
+reduced to cached base integrals at |s| = 1 through exact scaling, and
+the center form is the ball form less one tail moment.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
-from .numerics import SphericalGrid, _refine, _simpson_rule, log_radial_grid, radial_integral, uniform_sphere
+from .numerics import SphericalGrid, log_radial_grid, radial_integral, uniform_sphere
 
 __all__ = [
     "KFunction",
@@ -336,18 +339,21 @@ def density_tilde(kf: KFunction) -> RadialDensity:
     return _density(kf, "tilde")
 
 
-def _tail_moment(dens: RadialDensity, A: float, power: int) -> float:
-    """int_A^inf r^power rho(r) dr: closed form for a pure power law, else
-    the refined log-Simpson rule up to the horizon (0 beyond it)."""
+def _tail_moment(dens: RadialDensity, A, power: int):
+    """int_A^inf r^power rho(r) dr for a radius A or an array of radii:
+    closed form for a pure power law, else the refined log-Simpson rule up
+    to the horizon (0 beyond it)."""
     if dens.lam == 0.0:
         if dens.p <= power + 1.0:
             raise RegimeError("the big-jump tail has no moment of this order")
         return dens.amp * A ** (power + 1.0 - dens.p) / (dens.p - power - 1.0)
-    if A >= dens.horizon:
-        return 0.0
+    radii = np.asarray(A, dtype=float)
+    out = np.zeros(radii.shape)
+    live = radii < dens.horizon
     # the node spacing near A, A du, must also resolve the decay length 1/lam
-    du = 1.0 / (32.0 * (1.0 + dens.lam * A))
-    return float(_log_quad_complex(A, dens.horizon, du, lambda r: r**power * dens.rho(r)).real)
+    du = 1.0 / (32.0 * (1.0 + dens.lam * radii[live]))
+    out[live] = _log_quad_panels(radii[live], dens.horizon, du, lambda r, i: r**power * dens.rho(r)).real
+    return out if radii.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -463,54 +469,157 @@ def isotropic_stable_law(
 # ---------------------------------------------------------------------------
 
 
+def _complex(re, im):
+    """re + i im, without complex arithmetic."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _cphi_raw(theta):
     """e^{i theta} - 1 without small-angle cancellation in the real part."""
-    return -2.0 * np.sin(theta / 2.0) ** 2 + 1j * np.sin(theta)
+    return _complex(-2.0 * np.sin(theta / 2.0) ** 2, np.sin(theta))
 
 
 def _cphi_full(theta):
     """e^{i theta} - 1 - i theta; series for the imaginary part near 0."""
     theta = np.asarray(theta, dtype=float)
-    re = -2.0 * np.sin(theta / 2.0) ** 2
     t2 = theta * theta
     series = -theta * t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
     im = np.where(np.abs(theta) < 0.5, series, np.sin(theta) - theta)
-    return re + 1j * im
+    return _complex(-2.0 * np.sin(theta / 2.0) ** 2, im)
 
 
-def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9):
-    """Adaptive composite Simpson of f(r) dr on a log grid over (lo, hi)."""
-    base = max(16, int(math.ceil(math.log(hi / lo) / min(du_cap, 1.0 / 48.0))) + 1)
-    base += base % 2
-
-    def estimate(level):
-        r, w = _simpson_rule(lo, hi, base * 2**level + 1, log=True)
-        return np.dot(w, f(r))
-
-    return _refine(estimate, 5, rel)[0]
+def _cphi_sigma(theta):
+    """i theta (e^{i theta} - 1)."""
+    return 1j * theta * _cphi_raw(theta)
 
 
-def _osc_tail(A, rho, dens: RadialDensity, power: int):
-    """int_A^inf e^{i r rho} r^power dens(r) dr.
+# integrand nodes the panel integrator evaluates at once; a panel with
+# more new nodes than this at one level is summed in pieces of this size,
+# so peak memory depends neither on the number of frequencies nor on their
+# size
+_NODE_BLOCK = 1 << 14
+
+# floor of the panel-size denominators: a frequency whose square or cube
+# underflows takes the widest panels instead of dividing by zero
+_TINY = np.finfo(float).tiny
+
+# floor of the frequencies that size panels: 12 / s and 2 pi / (10 s r)
+# stay finite, and a decaying density's panels are the same below it
+_S_FLOOR = 1e-300
+
+
+def _segment_starts(counts):
+    """Offset of each of the consecutive segments of the given lengths."""
+    return np.cumsum(counts) - counts
+
+
+def _ragged_arange(counts):
+    """(k, owner): 0, ..., c - 1 for each entry c of ``counts``, concatenated,
+    and the entry each k belongs to."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.arange(owner.size) - _segment_starts(counts)[owner], owner
+
+
+def _node_sums(f, ulo, h, first: int, count, panel) -> np.ndarray:
+    """sum_{k < count_i} g(ulo_i + (first + 2 k) h_i) for each panel i, with
+    g(u) = f(r, panel_i) r at r = e^u.
+
+    A panel's nodes are summed in pieces of ``_NODE_BLOCK`` counted from its
+    first node, and its pieces in order: ``np.add.reduceat`` reduces each
+    piece on its own, whatever else is evaluated in the same block."""
+    n_pieces = -(-count // _NODE_BLOCK)
+    q, owner = _ragged_arange(n_pieces)
+    size = np.minimum(count[owner] - q * _NODE_BLOCK, _NODE_BLOCK)
+    j0 = first + 2 * _NODE_BLOCK * q  # node index of each piece's first node
+    ends = np.cumsum(size)
+    sums = np.empty(owner.size, dtype=complex)
+    a = 0
+    while a < owner.size:
+        before = ends[a] - size[a]  # nodes in the pieces before piece a
+        b = max(int(np.searchsorted(ends, before + _NODE_BLOCK, side="right")), a + 1)
+        sz, o = size[a:b], owner[a:b]
+        starts = _segment_starts(sz)
+        j = 2 * np.arange(ends[b - 1] - before) + np.repeat(j0[a:b] - 2 * starts, sz)
+        r = np.exp(np.repeat(ulo[o], sz) + j * np.repeat(h[o], sz))
+        sums[a:b] = np.add.reduceat(f(r, np.repeat(panel[o], sz)) * r, starts)
+        a = b
+    return np.add.reduceat(sums, _segment_starts(n_pieces))
+
+
+def _log_quad_panels(lo, hi, du_cap, f, rel=1e-9) -> np.ndarray:
+    """Adaptive composite Simpson of f(r, i) dr on log grids over the panels
+    (lo_i, hi_i), where i holds each node's panel.
+
+    A panel starts from max(16, log(hi/lo) / min(du_cap, 1/48)) intervals,
+    rounded up to even, and doubles them at most four times, until two
+    levels agree to ``rel`` relative (the rule of ``numerics._refine``).
+    All panels advance one level per pass.  A level evaluates f only at its
+    new (odd) nodes; each panel keeps running sums of its end, odd and even
+    nodes.  Returns each panel's last level."""
+    lo, hi, du_cap = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, du_cap)))
+    if not lo.size:
+        return np.zeros(0, dtype=complex)
+    n = np.maximum(16, np.ceil(np.log(hi / lo) / np.minimum(du_cap, 1.0 / 48.0)).astype(np.int64) + 1)
+    n += n % 2
+    ulo, uhi = np.log(lo), np.log(hi)
+    h = (uhi - ulo) / n
+    panel = np.arange(lo.size)
+    r = np.exp(np.concatenate([ulo, uhi]))
+    g = f(r, np.concatenate([panel, panel])) * r
+    ends = g[: lo.size] + g[lo.size :]
+    odd = _node_sums(f, ulo, h, 1, n // 2, panel)
+    even = _node_sums(f, ulo, h, 2, n // 2 - 1, panel)
+    value = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
+    for level in range(1, 5):
+        if not panel.size:
+            break
+        even[panel] += odd[panel]
+        h[panel] /= 2.0
+        odd[panel] = _node_sums(f, ulo[panel], h[panel], 1, n[panel] << (level - 1), panel)
+        new = h[panel] / 3.0 * (ends[panel] + 4.0 * odd[panel] + 2.0 * even[panel])
+        done = np.abs(new - value[panel]) <= rel * np.maximum(np.abs(new), 1e-300)
+        value[panel] = new
+        panel = panel[~done]
+    return value
+
+
+def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9) -> complex:
+    """Adaptive composite Simpson of f(r) dr on a log grid over (lo, hi):
+    the one-panel case of ``_log_quad_panels``."""
+    return complex(_log_quad_panels(lo, hi, du_cap, lambda r, i: f(r), rel)[0])
+
+
+def _osc_tail(A, rho, dens: RadialDensity, power: int) -> np.ndarray:
+    """int_A^inf e^{i r rho} r^power dens(r) dr for arrays of radii A and
+    nonzero frequencies rho.
 
     0 from the decay horizon on, where the density is e^-45 of its
-    amplitude; else, for rho != 0, three-term integration by parts from
+    amplitude; else three-term integration by parts from
     B = max(A, 12 / |rho|), where |rho| B >= 12 makes it hold, with the
     stretch (A, B) by quadrature."""
-    if A >= dens.horizon:
-        return 0.0 + 0.0j
-    f = lambda r: np.exp(1j * r * rho) * r**power * dens.rho(r)
-    B = min(max(A, 12.0 / abs(rho)), dens.horizon)
-    head = 0.0 + 0.0j
-    if B > A:
-        head = _log_quad_complex(A, B, min(1.0 / 48.0, 2.0 * math.pi / (10.0 * abs(rho) * B)), f)
-        if B >= dens.horizon:
-            return head
+    A, rho = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(rho, dtype=float))
+    out = np.zeros(A.shape, dtype=complex)
+    live = A < dens.horizon
+    A, rho = A[live], rho[live]
+    B = np.minimum(np.maximum(A, 12.0 / np.maximum(np.abs(rho), _S_FLOOR)), dens.horizon)
+    tail = np.zeros(A.shape, dtype=complex)
+    head = B > A
+    if head.any():
+        rh = rho[head]
+        du = np.minimum(1.0 / 48.0, 2.0 * math.pi / (10.0 * np.abs(rh) * B[head]))
+        f = lambda r, i: np.exp(1j * r * rh[i]) * r**power * dens.rho(r)
+        tail[head] = _log_quad_panels(A[head], B[head], du, f)
+    ibp = B < dens.horizon
+    B, rho = B[ibp], rho[ibp]
     v, vp, vpp = dens.rho(B), dens.drho(B), dens.d2rho(B)
     if power == 1:
         v, vp, vpp = B * v, v + B * vp, 2.0 * vp + B * vpp
     z = 1j * rho
-    return head + np.exp(1j * B * rho) * (-v / z + vp / z**2 - vpp / z**3)
+    tail[ibp] += np.exp(1j * B * rho) * (-v / z + vp / z**2 - vpp / z**3)
+    out[live] = tail
+    return out
 
 
 def _projections(sphere, xi) -> np.ndarray:
@@ -523,68 +632,67 @@ def _projections(sphere, xi) -> np.ndarray:
     return s
 
 
-# floor of the panel-size denominators: a frequency whose square or cube
-# underflows takes the widest panels instead of dividing by zero
-_TINY = np.finfo(float).tiny
-
-
 def _cutoff_A(dens: RadialDensity, s_abs, tol, power: int):
+    """End of the octave panels for frequencies |s| >= ``_S_FLOOR``."""
     p = dens.p - power
-    A = (dens.amp * max(p, 0.5) * (p + 1.0) / max(tol * s_abs**3, _TINY)) ** (1.0 / (p + 2.0))
+    A = (dens.amp * max(p, 0.5) * (p + 1.0) / np.maximum(tol * s_abs**3, _TINY)) ** (1.0 / (p + 2.0))
     # beyond the decay horizon the density is numerically zero, and the
     # tail past a cap there is dropped
-    return min(max(16.0, 12.0 / s_abs, A), dens.horizon)
+    return np.minimum(np.maximum(np.maximum(16.0, 12.0 / s_abs), A), dens.horizon)
 
 
-def _profile_generic(s: float, dens: RadialDensity, mode: str, tol: float = 1e-10) -> complex:
-    """int_0^inf phi_mode(r s) rho(r) dr for one scalar frequency s."""
-    if s == 0.0:
-        return 0.0 + 0.0j
-    sa = abs(s)
+_PHASE = {"raw": _cphi_raw, "ball": _cphi_full, "sigma": _cphi_sigma}
+
+
+def _profile_generic(s, dens: RadialDensity, mode: str, tol: float = 1e-10):
+    """int_0^inf phi_mode(r s) rho(r) dr for an array of nonzero frequencies
+    s (a float gives a complex).
+
+    The panels of every frequency -- (r_lo, 1], the octaves of (1, A] and
+    the stretch (A, horizon) of the tail moment -- go to one
+    ``_log_quad_panels`` call each, and each frequency's value does not
+    depend on the others."""
+    if mode not in _PHASE:
+        raise DomainError(f"unknown profile mode {mode!r}")
     p0, c0 = dens.p, dens.amp
+    if mode == "raw" and p0 >= 2.0:
+        raise RegimeError("raw-mode profile diverges at small radii for this weight")
+    s_in = np.asarray(s, dtype=float)
+    s = s_in.ravel()
+    sa = np.maximum(np.abs(s), _S_FLOOR)
 
     # small panel (r_lo, 1], fully compensated phase where needed; the
     # analytic correction leaves the next Taylor term, s^3 r^(4 - p0), which
     # is far below rounding at r_lo = 1e-100, where rho(r_lo) is still
     # finite (the unfloored r_lo underflows as alpha -> 2)
-    r_lo = min(1e-3, (2.0 * tol * (3.0 - p0) / max(c0 * sa**2, _TINY)) ** (1.0 / (3.0 - p0)))
-    r_lo = max(r_lo, 1e-100)
-    m1 = c0 * r_lo ** (2.0 - p0) / (2.0 - p0) if p0 < 2.0 else None
+    r_lo = np.minimum(1e-3, (2.0 * tol * (3.0 - p0) / np.maximum(c0 * sa**2, _TINY)) ** (1.0 / (3.0 - p0)))
+    r_lo = np.maximum(r_lo, 1e-100)
     m2 = c0 * r_lo ** (3.0 - p0) / (3.0 - p0)
-
     if mode == "raw":
-        small_phase = _cphi_raw
-        if m1 is None:
-            raise RegimeError("raw-mode profile diverges at small radii for this weight")
-        small_corr = 1j * s * m1 - 0.5 * s * s * m2
+        small_corr = 1j * s * (c0 * r_lo ** (2.0 - p0) / (2.0 - p0)) - 0.5 * s * s * m2
     elif mode == "ball":
-        small_phase = _cphi_full
         small_corr = -0.5 * s * s * m2
-    elif mode == "sigma":
-        small_phase = lambda th: 1j * th * _cphi_raw(th)
-        small_corr = -s * s * m2
     else:
-        raise DomainError(f"unknown profile mode {mode!r}")
-
-    small = _log_quad_complex(r_lo, 1.0, 1.0 / 48.0, lambda r: small_phase(r * s) * dens.rho(r))
-    small += small_corr
+        small_corr = -s * s * m2
+    phase = _PHASE[mode]
+    small = _log_quad_panels(r_lo, 1.0, 1.0 / 48.0, lambda r, i: phase(r * s[i]) * dens.rho(r)) + small_corr
 
     # big panel (1, A] in octaves, oscillation-resolving node density; the
     # sigma phase i r s (e^{irs} - 1) carries one more power of r
     power = 1 if mode == "sigma" else 0
-    if power:
-        big_f = lambda r: 1j * r * s * _cphi_raw(r * s) * dens.rho(r)
-    else:
-        big_f = lambda r: _cphi_raw(r * s) * dens.rho(r)
     A = _cutoff_A(dens, sa, tol, power)
-    big = 0.0 + 0.0j
-    lo = 1.0
-    while lo < A:
-        hi = min(2.0 * lo, A)
-        big += _log_quad_complex(lo, hi, min(1.0 / 48.0, 2.0 * math.pi / (10.0 * sa * hi)), big_f)
-        lo = hi
+    # the octaves (2^k, min(2^(k + 1), A)] up to A, counted exactly by frexp
+    mantissa, exponent = np.frexp(A)
+    n_oct = exponent - (mantissa == 0.5)
+    k, freq = _ragged_arange(n_oct)
+    lo = np.ldexp(1.0, k)
+    hi = np.minimum(2.0 * lo, A[freq])
+    du = np.minimum(1.0 / 48.0, 2.0 * math.pi / (10.0 * sa[freq] * hi))
+    sf, phase = s[freq], _PHASE["raw" if mode == "ball" else mode]
+    big = np.add.reduceat(_log_quad_panels(lo, hi, du, lambda r, i: phase(r * sf[i]) * dens.rho(r)), _segment_starts(n_oct))
     tail = _osc_tail(A, s, dens, power) - _tail_moment(dens, A, power)
-    return small + big + (1j * s * tail if power else tail)
+    out = small + big + (1j * s * tail if power else tail)
+    return complex(out[0]) if s_in.ndim == 0 else out.reshape(s_in.shape)
 
 
 _BASE_CACHE: dict = {}
@@ -595,9 +703,9 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
 
     Each distinct |s| is evaluated once and s < 0 is read as the complex
     conjugate, profile(-s) = conj(profile(s)).  Exact power-law weights
-    are reduced by scaling to cached base values at |s| = 1; other
-    families are integrated by quadrature.  The center form 'full' is
-    the ball form less i s int_1^inf r rho dr.
+    are reduced by scaling to cached base values at |s| = 1; for other
+    families all distinct |s| go to one ``_profile_generic`` call.  The
+    center form 'full' is the ball form less i s int_1^inf r rho dr.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     dens = _density(kf, kind)
@@ -622,7 +730,7 @@ def _profile(s_values, kf: KFunction, kind: str, mode: str, tol: float = 1e-10) 
             else:
                 vals = vals + 1j * dens.amp * (sa**a - sa) / (1.0 - a)
     else:
-        vals = np.array([_profile_generic(float(x), dens, mode, tol) for x in sa], dtype=complex)
+        vals = _profile_generic(sa, dens, mode, tol)
     vals = vals[inverse]
     out[nz] = np.where(s_values[nz] < 0.0, np.conj(vals), vals)
     return out

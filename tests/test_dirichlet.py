@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from steinlab import DomainError, EvaluationError, RegimeError
+from steinlab import DomainError, EvaluationError, RegimeError, dirichlet
 from steinlab.dirichlet import (
     RatioReport,
     bakry_emery_check,
@@ -489,6 +489,18 @@ class TestRatioCurve:
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + reports[0].err
         assert gaps[-1] < gaps[0]
+
+    def test_curve_refuses_a_bad_radius_before_any_integral(self, monkeypatch):
+        calls, numerator = [], dirichlet._numerator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return numerator(*args, **kwargs)
+
+        monkeypatch.setattr(dirichlet, "_numerator", counted)
+        with pytest.raises(DomainError, match="radius"):
+            u_ratio_curve(1.5, 1, 0, [4.0, 0.0])
+        assert calls == []
 
     def test_truncated_coordinate_structure(self):
         g = truncated_coordinate(2, 4.0, 1)

@@ -25,7 +25,7 @@ from steinlab.levy import (
     tempered_k,
     tilde_nu,
 )
-from steinlab.numerics import log_radial_grid, radial_integral, sphere_from_atoms, uniform_sphere
+from steinlab.numerics import _refine, _simpson_rule, log_radial_grid, radial_integral, sphere_from_atoms, uniform_sphere
 
 
 def one_atom_law(alpha, c=1.0, rep="triplet_b", shift=(0.0,)):
@@ -164,6 +164,130 @@ class TestLKExponent:
         r = np.exp(u)
         brute = sum(np.trapezoid(integrand(r, s) * r, u) for s in (1.3, -1.3))
         assert val == pytest.approx(complex(brute), rel=1e-6, abs=1e-9)
+
+
+_DECAYING = [tempered_k(0.8, 0.5, 1.0), gamma_k(0.7, 1.3)]
+
+
+def _counted(monkeypatch, name):
+    """Replace levy.<name> by a wrapper that records its first argument."""
+    calls, inner = [], getattr(levy, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(levy, name, counted)
+    return calls
+
+
+class TestProfileIntegrator:
+    def test_panel_bits_do_not_depend_on_the_batch(self, monkeypatch):
+        # small blocks, so that the long third panel is summed in pieces
+        monkeypatch.setattr(levy, "_NODE_BLOCK", 512)
+        lo, hi, du = np.array([0.5, 1e-6, 2.0, 3.0]), np.array([8.0, 1.0, 2000.0, 5.0]), np.array([1.0, 1.0, 1e-3, 1.0])
+        w = np.array([1.0, 0.3, 7.0, 2.0])
+        f = lambda r, i: np.exp(1j * r * w[i]) / (1.0 + r)
+        batch = levy._log_quad_panels(lo, hi, du, f)
+        for j in range(4):
+            alone = levy._log_quad_panels(lo[j], hi[j], du[j], lambda r, i: f(r, np.full(r.shape, j)))
+            assert alone[0] == batch[j]
+        np.testing.assert_array_equal(levy._log_quad_panels(lo[::-1], hi[::-1], du[::-1], lambda r, i: f(r, 3 - i)), batch[::-1])
+
+    @pytest.mark.parametrize("f", [lambda r: np.exp(1j * r), lambda r: np.exp(40j * r) * r**-0.5], ids=["smooth", "oscillating"])
+    def test_same_stopping_rule_and_no_node_twice(self, f):
+        # the reference: every level rebuilt from numerics._simpson_rule and
+        # stopped by numerics._refine
+        lo, hi, du = 0.5, 8.0, 1.0 / 48.0
+        base = max(16, math.ceil(math.log(hi / lo) / du) + 1)
+        base += base % 2
+        levels = []
+
+        def estimate(level):
+            levels.append(level)
+            r, w = _simpson_rule(lo, hi, base * 2**level + 1, log=True)
+            return np.dot(w, f(r))
+
+        ref = _refine(estimate, 5, 1e-9)[0]
+        seen = []
+        val = levy._log_quad_complex(lo, hi, du, lambda r: seen.append(r.size) or f(r))
+        assert sum(seen) == base * 2 ** levels[-1] + 1
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("kf", _DECAYING, ids=["tempered", "gamma"])
+    @pytest.mark.parametrize("mode", ["ball", "raw", "sigma"])
+    def test_a_frequency_keeps_its_bits_in_any_batch(self, kf, mode):
+        dens = levy.density_tilde(kf)
+        s = np.array([0.37, 1e-4, 2.9, 13.0, 0.05, 40.0])
+        batch = levy._profile_generic(s, dens, mode)
+        for x, v in zip(s, batch):
+            assert levy._profile_generic(float(x), dens, mode) == v
+        np.testing.assert_array_equal(levy._profile_generic(s[::-1], dens, mode), batch[::-1])
+        mixed = levy._profile_generic(np.array([7.0, 0.37, 1e-4, 2.9, 0.2]), dens, mode)
+        np.testing.assert_array_equal(mixed[1:4], batch[:3])
+
+    @pytest.mark.parametrize("kf", _DECAYING, ids=["tempered", "gamma"])
+    @pytest.mark.parametrize("kind", ["nu", "tilde"])
+    @pytest.mark.parametrize("mode", ["ball", "raw", "sigma", "full"])
+    def test_profile_is_the_one_frequency_loop(self, kf, kind, mode):
+        dens = levy._density(kf, kind)
+        s = np.array([0.0, 1.3, -1.3, 0.02, -7.5, 1.3, 45.0, -0.4])
+
+        def one(x):
+            if mode == "full":
+                return levy._profile_generic(x, dens, "ball") - 1j * x * levy._tail_moment(dens, 1.0, 1)
+            return levy._profile_generic(x, dens, mode)
+
+        loop = np.array([one(float(x)) if x != 0.0 else 0j for x in s])
+        np.testing.assert_array_equal(levy._profile(s, kf, kind, mode), loop)
+
+    @pytest.mark.parametrize("kf", _DECAYING, ids=["tempered", "gamma"])
+    @pytest.mark.parametrize("kind", ["nu", "tilde"])
+    @pytest.mark.parametrize("mode", ["ball", "raw", "sigma", "full"])
+    def test_tiny_frequencies_are_finite_without_warning(self, kf, kind, mode):
+        # 12 / s overflows at 5e-324; under filterwarnings = error an
+        # overflow warning would fail the test
+        vals = levy._profile(np.array([5e-324, -1e-300, 1e-300]), kf, kind, mode)
+        assert np.all(np.isfinite(vals))
+        assert vals[1] == np.conj(vals[2])
+
+    def test_a_large_frequency_is_finite_without_warning(self):
+        # a decay horizon of 2.9 keeps the octave panels of |s| = 1e6, at ten
+        # nodes a period, to 5e6 nodes a level
+        vals = levy._profile(np.array([1e6, -1e6]), tempered_k(0.8, 0.5, 50.0), "nu", "ball")
+        assert np.all(np.isfinite(vals)) and vals[1] == np.conj(vals[0])
+
+    def test_tempered_exponent_memory_does_not_grow_with_the_atoms(self):
+        import tracemalloc
+
+        sphere = uniform_sphere(3, 1024)
+        law = IDLaw(np.zeros(3), LevyPolar(sphere, tempered_k(0.8, 0.5, 1.0)), "triplet_b")
+        # a first call, so that one-time set-up does not count
+        lk_exponent(law, np.array([0.1, 0.2, 0.3]))
+        tracemalloc.start()
+        try:
+            val = lk_exponent(law, np.array([0.3, -1.1, 0.7]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 512 distinct |s|: an unblocked level would hold 512 x 3500 nodes
+        # in each of several complex arrays
+        assert np.isfinite(val) and peak < 32 * 2**20
+
+    def test_tempered_cocycle_sends_one_frequency_per_antipodal_pair(self, monkeypatch):
+        calls = _counted(monkeypatch, "_profile_generic")
+        tn = tilde_nu(tempered_k(0.8, 0.5, 1.0), uniform_sphere(2, 32))
+        theta = 3.0 * math.pi / 32.0
+        xi = np.array([math.cos(theta), math.sin(theta)])
+        zeta = 0.8 * np.array([math.cos(theta + 2.0), math.sin(theta + 2.0)])
+        symbol_sigma_tilde(tn, xi, zeta)
+        # three profile sums over 32 atoms, one call each with the distinct
+        # |s| of its sum: at most one per antipodal pair, 48 in all
+        assert len(calls) == 3
+        for got, v in zip(calls, (xi + zeta, xi, zeta)):
+            s = levy._projections(tn.sphere, v)
+            np.testing.assert_array_equal(got, np.unique(np.abs(s[s != 0.0])))
+        assert sum(np.size(s) for s in calls) <= 48
 
 
 class TestTildeNu:
