@@ -2,10 +2,9 @@
 stable laws: the carré-du-champs operator and its second iterate by
 three independent routes, the curvature lower bound, the Poincaré-type
 inequality, and the variance-ratio functional probed along smoothly
-truncated coordinates.  The symbol route of the second iterate runs in
-every d: the common rotation of its two frequencies averages the phase
-to the semigroup's sphere kernel, leaving radius pairs and one relative
-angle.
+truncated coordinates.  The symbol route of the second iterate is in
+closed form for Gaussian bumps in every d: confluent hypergeometric
+transforms and one series of them.
 
 The rate integrals live in the frequency domain, where the truncation
 family has closed transforms.  They run in every d and do not depend on
@@ -22,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainccinv, ive
+from scipy.special import gammainccinv, gammaln, hyp1f1, ive
 
 from ._errors import DomainError, EvaluationError, RegimeError, UnsupportedFamilyError
 from .jumps import (
@@ -42,7 +41,7 @@ from .jumps import (
 from .levy import IDLaw
 from .numerics import TestFunction, _ray_points, _simpson_rule, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
-from .stein import _check_dim, _chunked_mean, _isotropic_alpha, _kernels, _point, _points, generator_apply, generator_tilt
+from .stein import _check_dim, _chunked_mean, _gaussian_profile, _isotropic_alpha, _point, _points, generator_apply, generator_tilt
 
 __all__ = [
     "RatioReport",
@@ -229,50 +228,64 @@ def _second_difference_double(law, f, X, n_small=12, per_octave=8):
     return 0.25 * out
 
 
+def _gaussian_transforms(g0, a, d, beta, s_sq):
+    """int g0 e^{-|xi|^2/(4a)} |xi|^beta e^{i<xi, y>} dxi at |y|^2 = s_sq, per
+    beta: g0 |S^{d-1}|/2 (4a)^b Gamma(b) 1F1(b; d/2; -a s_sq), b = (beta + d)/2."""
+    b = 0.5 * (np.asarray(beta, dtype=float) + d)
+    return g0 * 0.5 * surface_area(d) * np.exp(gammaln(b) + b * math.log(4.0 * a)) * hyp1f1(b, 0.5 * d, -a * s_sq)
+
+
+def _cross_integral(a, alpha, d, s_sq):
+    """int_0^inf k^{alpha+d-1} A_d(k s) e^{-z} 1F1(-alpha/2; c; -z) dk, c = d/2,
+    z = k^2/(8a).  Kummer's transformation writes the weight e^{-2z} 1F1(b; c; z),
+    b = (alpha + d)/2, whose series integrates termwise to H_alpha(0)/g0 times
+    sum_k e_k 1F1(b + k; c; -a s^2), e_k = (b)_k^2 / ((c)_k k! 2^k).  Each 1F1
+    is a normalized transform of a nonnegative profile, so |1F1| <= 1; e_k
+    falls like 2^{-k}, and the sum stops past its peak (ratio < 3/4) at a term
+    below 1e-17 of it."""
+    b, c = 0.5 * (alpha + d), 0.5 * d
+    e, ratio = [1.0], math.inf
+    while ratio >= 0.75 or e[-1] >= 1e-17 * sum(e):
+        ratio = (b + len(e) - 1) ** 2 / (2.0 * (c + len(e) - 1) * len(e))
+        e.append(e[-1] * ratio)
+    series = math.fsum(np.array(e) * hyp1f1(b + np.arange(len(e)), c, -a * s_sq))
+    return float(_gaussian_transforms(1.0, a, d, alpha, 0.0)) * series
+
+
 def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
     """Inverse transform of the closed two-frequency symbol of the second
-    iterate, for the rotationally invariant stable law, in any d.
+    iterate, for the rotationally invariant stable law, in any d, in closed
+    form for F(f)(xi) = G(|xi|) e^{-i<xi, c>}, G(rho) = g0 e^{-rho^2/(4a)}.
+    With g2 = (alpha^2/16) S^2 + (alpha^2/8) S, S = |xi|^alpha + |zeta|^alpha
+    - |xi + zeta|^alpha, and s = |x - c|,
 
-    With F(f)(xi) = G(|xi|) e^{-i<xi, c>} and s = |x - c|, rotating both
-    frequencies together averages the phase to the sphere average
-    A_d(kappa s) of `stein._kernels`, and the relative angle delta between
-    them carries |S^{d-2}| sin^{d-2} delta.  Summed over radius pairs
-    P <= T:
+        (2 pi)^{2d} Gamma_2 = (alpha^2/16)(2 H_{2 alpha} H_0 + 2 H_alpha^2 + K_{2 alpha} - 4 M)
+                              + (alpha^2/8)(2 H_alpha H_0 - K_alpha):
 
-        (2 pi)^{-2d} sum_{P <= T} m_PT G_P P^{d-1} w_P G_T T^{d-1} w_T
-            sum_delta w_delta g2(P, T, delta) A_d(kappa s),
-
-    kappa^2 = P^2 + T^2 + 2 P T cos delta, m_PT = 2 for P < T and 1 for
-    P = T (kappa and g2 are symmetric in P and T).  The delta rule is the
-    only dependence on d beyond A_d: in d = 1 the two atoms 0 and pi of
-    weight 1 (the frequencies point the same way or opposite ways); in
-    d >= 2 the 129-node Simpson rule on [0, pi] with weights times
-    |S^{d-2}| sin^{d-2} delta.  In d = 2 that is the 257-node rule on
-    [0, 2 pi] folded about pi, and the d = 1 radial rule on [0, 14] is the
-    769-node rule on [-14, 14] folded about 0."""
+    H_beta transforms |xi|^beta G (``_gaussian_transforms``), K_beta does so
+    for G * G = g0^2 (2 pi a)^{d/2} e^{-|w|^2/(8a)}, and in M, which pairs
+    |xi|^alpha with |xi + zeta|^alpha, the xi integral at fixed xi + zeta is
+    a noncentral Gaussian moment (``_cross_integral`` is what is left).  A
+    profile that is not Gaussian at rho = 1/2, given g0 and a from G(0) and
+    G(1), raises ``DomainError``; a non-finite one ``EvaluationError``."""
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
     if f.radial_fourier is None or f.fourier_center is None:
         raise DomainError("the symbol route needs a radially shifted bump")
     _check_dim(f, d)
-    s = float(np.linalg.norm(_point(x, d) - f.fourier_center))
-    rho, w_rho = _simpson_rule(0.0, 14.0, 385)
-    if d == 1:
-        delta, w_delta = np.array([0.0, math.pi]), np.ones(2)
-    else:
-        delta, w_delta = _simpson_rule(0.0, math.pi, 129)
-        w_delta *= surface_area(d - 1) * np.sin(delta) ** (d - 2)
-    Gw = np.real(np.asarray(f.radial_fourier(rho), dtype=complex)) * rho ** (d - 1) * w_rho
-    i, j = np.triu_indices(rho.size)
-    P, T = rho[i], rho[j]
-    pair_weight = np.where(i < j, 2.0, 1.0) * Gw[i] * Gw[j]
-    square_sum, cross, power_sum = P**2 + T**2, 2.0 * P * T, P**alpha + T**alpha
-    out = 0.0
-    for dl, wl in zip(delta, w_delta):
-        kappa_sq = np.maximum(square_sum + cross * math.cos(dl), 0.0)
-        S = power_sum - kappa_sq ** (0.5 * alpha)
-        g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
-        out += wl * np.dot(pair_weight, g2 * _kernels(d, np.sqrt(kappa_sq) * s))
+    s_sq = float(np.sum((_point(x, d) - f.fourier_center) ** 2))
+    g0, a = _gaussian_profile(f)
+    probe = float(np.real(f.radial_fourier(np.array([0.5]))[0]))
+    if not math.isfinite(g0 + a + probe):
+        raise EvaluationError("the symbol route read a non-finite transform profile")
+    if not math.isclose(probe, g0 * math.exp(-0.0625 / a), rel_tol=1e-9, abs_tol=1e-300):
+        raise DomainError("the symbol route needs a Gaussian profile g0 e^{-rho^2/(4a)}")
+    H0, Ha, H2a = _gaussian_transforms(g0, a, d, [0.0, alpha, 2.0 * alpha], s_sq)
+    gg = g0 * g0 * (2.0 * math.pi * a) ** (0.5 * d)
+    Ka, K2a = _gaussian_transforms(gg, 2.0 * a, d, [alpha, 2.0 * alpha], s_sq)
+    M = gg * (2.0 * a) ** (0.5 * alpha) * math.exp(math.lgamma(0.5 * (alpha + d)) - math.lgamma(0.5 * d))
+    M *= _cross_integral(a, alpha, d, s_sq)
+    out = (alpha**2 / 16.0) * (2.0 * H2a * H0 + 2.0 * Ha**2 + K2a - 4.0 * M) + (alpha**2 / 8.0) * (2.0 * Ha * H0 - Ka)
     val = float(out / (2.0 * math.pi) ** (2 * d))
     if not math.isfinite(val):
         raise EvaluationError("the symbol route returned a non-finite value")

@@ -399,6 +399,13 @@ def _kernels(d: int, z: np.ndarray) -> np.ndarray:
 _RHO_STEP = 0.025
 
 
+def _gaussian_profile(h: TestFunction):
+    """(g0, a) of the profile G(rho) = g0 e^{-rho^2/(4a)}, read from G(0)
+    and G(1), with a capped at 0.25e6; non-finite for a non-finite G."""
+    g0, g1 = (float(np.real(h.radial_fourier(np.array([r]))[0])) for r in (0.0, 1.0))
+    return g0, 0.25 / max(math.log(max(abs(g0), 1e-300) / max(abs(g1), 1e-300)), 1e-6)
+
+
 def _rho_rule(h: TestFunction, budget: int):
     """Simpson rho-grid covering the transform profile's support.
 
@@ -409,10 +416,7 @@ def _rho_rule(h: TestFunction, budget: int):
     bump (``_knot_kernels``).  The rule's alternating 4, 2 weights put an
     image of Phi_t at s = pi / delta ~ 125.7 budget for every h: a profile
     read that far out is the image, not Phi_t."""
-    # infer the Gaussian width from the profile: G(rho) = G(0) e^{-rho^2/(4a)}
-    g0 = float(np.real(h.radial_fourier(np.array([0.0]))[0]))
-    g1 = float(np.real(h.radial_fourier(np.array([1.0]))[0]))
-    a = 0.25 / max(math.log(max(g0, 1e-300) / max(g1, 1e-300)), 1e-6)
+    a = _gaussian_profile(h)[1]
     rho_max = math.sqrt(max(4.0 * a * 42.0, 1.0))
     step = _RHO_STEP / budget
     n = 2 * math.ceil(rho_max / (2.0 * step))

@@ -92,6 +92,15 @@ class TestCommands:
         assert code == EXIT_PASS
         assert doc["payload"]["results"]["normalization_residual"] < 1e-4
 
+    @pytest.mark.parametrize("alpha", ["1.5", "1.9"])
+    def test_normalize_passes_in_d3(self, alpha, capsys):
+        code = run(["normalize", "--alpha", alpha, "--d", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_PASS
+        assert doc["payload"]["results"]["normalization_residual"] < 1e-4
+        # an explicit atom count is honoured: 1024 atoms miss the gate
+        assert run(["normalize", "--alpha", alpha, "--d", "3", "--atoms", "1024"]) == EXIT_CHECK_FAILED
+
     def test_missing_alpha_is_usage_error(self, capsys):
         code = run(["normalize"])
         captured = capsys.readouterr()

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import j0
+from scipy.integrate import quad
+from scipy.special import hankel1, hyp1f1, j0
 
 from steinlab import DomainError, EvaluationError, RegimeError, dirichlet
 from steinlab.dirichlet import (
@@ -117,22 +118,23 @@ def gaussian_gradient_energy(d, R, n=40):
     return float(weight.reshape(-1) @ np.sum(grad**2, axis=1))
 
 
-def gamma2_symbol_full_grid(f, alpha, x):
-    """The symbol route on full grids.  d = 1: every (xi, zeta) pair of the
-    769-node Simpson rule on [-14, 14], with the transform read directly.
-    d = 2: all 385 x 385 radius pairs and the 257-node Simpson rule in the
-    angle over [0, 2 pi]."""
+def gamma2_symbol_full_grid(f, alpha, x, refine=1.0):
+    """The symbol route on full grids, an independent second route.  d = 1:
+    every (xi, zeta) pair of the (768 refine + 1)-node Simpson rule on
+    [-14, 14], with the transform read directly.  d = 2: all radius pairs of
+    the (384 refine + 1)-node rule on [0, 14] and the (256 refine + 1)-node
+    rule in the angle over [0, 2 pi]."""
     x = np.asarray(x, dtype=float)
     if f.dim == 1:
-        xi, w = _simpson_rule(-14.0, 14.0, 769)
+        xi, w = _simpson_rule(-14.0, 14.0, int(768 * refine) + 1)
         Fw = np.asarray(f.fourier(xi[:, None])) * np.exp(1j * xi * x[0]) * w
         p = np.abs(xi) ** alpha
         S = p[:, None] + p[None, :] - np.abs(np.add.outer(xi, xi)) ** alpha
         g2 = (alpha**2 / 16.0) * S**2 + (alpha**2 / 8.0) * S
         return float(np.real(Fw @ g2 @ Fw)) / (2.0 * math.pi) ** 2
     s = float(np.linalg.norm(x - f.fourier_center))
-    rho, w_rho = _simpson_rule(0.0, 14.0, 385)
-    delta, w_delta = _simpson_rule(0.0, 2.0 * math.pi, 257)
+    rho, w_rho = _simpson_rule(0.0, 14.0, int(384 * refine) + 1)
+    delta, w_delta = _simpson_rule(0.0, 2.0 * math.pi, int(256 * refine) + 1)
     G = np.real(np.asarray(f.radial_fourier(rho), dtype=complex))
     P, T = np.meshgrid(rho, rho, indexing="ij")
     Gw = G * rho * w_rho
@@ -145,14 +147,42 @@ def gamma2_symbol_full_grid(f, alpha, x):
     return float(out * 2.0 * math.pi / (2.0 * math.pi) ** 4)
 
 
-def gaussian_hessian_energy(d, x):
-    """||Hess f||_HS^2 + |grad f|^2 for f = exp(-|x|^2) at x.
+def cross_integral_by_quad(a, alpha, d, s):
+    """int_0^inf k^{alpha+d-1} A_d(k s) e^{-z} 1F1(-alpha/2; d/2; -z) dk,
+    z = k^2/(8a), by adaptive quadrature.  For s > 0 the path turns to the
+    ray k = t e^{i pi/8}: with A_d(k s) = Re of (2 pi)^{d/2} H1_nu(k s) /
+    (k s)^nu (nu = d/2 - 1, H1 the Hankel function) and the weight written
+    e^{-2z} 1F1((alpha + d)/2; d/2; z), the integrand decays like
+    e^{-t s sin(pi/8)} and e^{-t^2 cos(pi/4)/(8a)} there instead of
+    oscillating, so the sum keeps its relative accuracy at large s."""
+    c, nu = d / 2.0, d / 2.0 - 1.0
+    if s == 0.0:
 
-    With grad f = -2 x f and d_jk f = (4 x_j x_k - 2 delta_jk) f:
-    sum_jk (4 x_j x_k - 2 delta_jk)^2 = 16 |x|^4 - 16 |x|^2 + 4 d, and
-    |grad f|^2 = 4 |x|^2 f^2."""
-    r2 = float(np.dot(x, x))
-    return math.exp(-2.0 * r2) * (16.0 * r2**2 - 12.0 * r2 + 4.0 * d)
+        def on_axis(k):
+            z = k * k / (8.0 * a)
+            return k ** (alpha + d - 1.0) * math.exp(-z) * hyp1f1(-alpha / 2.0, c, -z)
+
+        return surface_area(d) * quad(on_axis, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+    turn = np.exp(1j * math.pi / 8.0)
+
+    def on_ray(t):
+        k = t * turn
+        z = k * k / (8.0 * a)
+        kernel = (2.0 * math.pi) ** c * hankel1(nu, k * s) / (k * s) ** nu
+        return (turn * k ** (alpha + d - 1.0) * kernel * np.exp(-2.0 * z) * hyp1f1(alpha / 2.0 + c, c, z)).real
+
+    # both decays are below e^{-45} past the end of the ray
+    return quad(on_ray, 0.0, min(23.0 * math.sqrt(a), 120.0 / s), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def gaussian_hessian_energy(d, y, a=1.0):
+    """||Hess f||_HS^2 + |grad f|^2 for f = exp(-a |x|^2) at x = y.
+
+    With grad f = -2a x f and d_jk f = (4a^2 x_j x_k - 2a delta_jk) f:
+    sum_jk (4a^2 x_j x_k - 2a delta_jk)^2 = 16 a^4 |x|^4 - 16 a^3 |x|^2 + 4 a^2 d,
+    and |grad f|^2 = 4 a^2 |x|^2 f^2."""
+    r2 = float(np.dot(y, y))
+    return math.exp(-2.0 * a * r2) * (16.0 * a**4 * r2**2 - (16.0 * a - 4.0) * a**2 * r2 + 4.0 * a**2 * d)
 
 
 class TestGamma1:
@@ -223,17 +253,38 @@ class TestGamma2:
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
     @pytest.mark.parametrize("dist", [0.0, 0.5, 3.0])
     def test_symbol_d2_matches_full_grid(self, alpha, dist):
-        # the folded sum against every angle node and every radius pair in
-        # d = 2, and against every (xi, zeta) pair in d = 1; dist = 0 puts x
-        # on the bump's center, where the phase average is constant
+        # in d = 1 and 2 the closed form sits closer to the full grid than
+        # the grid's own error, measured as its move from half the nodes;
+        # dist = 0 puts x on the bump's center
         for d, c, u in ((1, [0.3], [1.0]), (2, [0.3, -0.2], [0.6, 0.8])):
             f = gaussian_bump(d, a=1.0, center=c)
             x = np.array(c) + dist * np.array(u)
-            ref = gamma2_symbol_full_grid(f, alpha, x)
-            assert gamma2_symbol_value(f, alpha, d, x) == pytest.approx(ref, rel=1e-12)
+            grid = gamma2_symbol_full_grid(f, alpha, x)
+            grid_error = abs(grid - gamma2_symbol_full_grid(f, alpha, x, refine=0.5))
+            assert abs(gamma2_symbol_value(f, alpha, d, x) - grid) < grid_error
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("dist", [0.0, 0.5, 3.0])
+    def test_full_grid_refined_closes_on_symbol(self, alpha, dist):
+        # in d = 1, twice the grid's nodes bring it at least 4x closer to
+        # the closed form (4.6x to 7.5x here: |xi + zeta|^alpha has a kink
+        # on the antidiagonal, so Simpson's rule is below its fourth order)
+        f = gaussian_bump(1, a=1.0, center=[0.3])
+        x = np.array([0.3 + dist])
+        value = gamma2_symbol_value(f, alpha, 1, x)
+        gap = abs(value - gamma2_symbol_full_grid(f, alpha, x))
+        assert abs(value - gamma2_symbol_full_grid(f, alpha, x, refine=2.0)) <= gap / 4.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.05, 1.0, 10.0])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 3.0, 10.0, 20.0, 50.0])
+    def test_cross_integral_matches_quad(self, d, a, s):
+        for alpha in (0.7, 1.5):
+            ref = cross_integral_by_quad(a, alpha, d, s)
+            assert dirichlet._cross_integral(a, alpha, d, s * s) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("k", [0.5, 3.0])
+    @pytest.mark.parametrize("k", [0.5, 3.0, -2.0])
     def test_symbol_scales_as_amplitude_squared(self, d, k):
         law = isotropic_stable_law(1.5, d)
         f = gaussian_bump(d, a=1.0, center=[0.3, 0.1][:d])
@@ -255,10 +306,24 @@ class TestGamma2:
         i xi_j of a transform is d_j of its inverse, so <xi, zeta>^2 =
         sum_jk (i xi_j i xi_k)(i zeta_j i zeta_k) inverts to
         sum_jk (d_jk f)^2 and -<xi, zeta> = sum_j (i xi_j)(i zeta_j) to
-        sum_j (d_j f)^2: the route returns ||Hess f||_HS^2 + |grad f|^2."""
-        x = np.full(d, 0.3)
-        value = gamma2_symbol_value(gaussian_bump(d, a=1.0), 2.0, d, x)
-        assert value == pytest.approx(gaussian_hessian_energy(d, x), rel=1e-6)
+        sum_j (d_j f)^2: the route returns ||Hess f||_HS^2 + |grad f|^2.
+        Far out (a = 10 at |x - c| = 3 gives 8.6e-72) terms of size
+        e^{-a |x - c|^2} cancel to that value, so the bound there is 1e-16
+        of the value at the center."""
+        c = np.full(d, 0.3)
+        for a in (0.05, 1.0, 10.0):
+            peak = gaussian_hessian_energy(d, np.zeros(d), a)
+            for dist in (0.3, 3.0):
+                x = c + dist * np.ones(d) / math.sqrt(d)
+                value = gamma2_symbol_value(gaussian_bump(d, a=a, center=c), 2.0, d, x)
+                ref = gaussian_hessian_energy(d, x - c, a)
+                assert value == pytest.approx(ref, rel=1e-12, abs=1e-16 * peak), (a, dist)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_symbol_rejects_a_profile_that_is_not_gaussian(self, d):
+        f = replace(gaussian_bump(d, a=1.0), radial_fourier=lambda rho: 1.0 / (1.0 + np.asarray(rho) ** 2))
+        with pytest.raises(DomainError):
+            gamma2_symbol_value(f, 1.5, d, np.zeros(d))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_symbol_raises_on_non_finite_transform(self, d):

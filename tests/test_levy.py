@@ -58,6 +58,15 @@ class TestNormalizingConstant:
         # the angular cusp |cos t|^alpha sharpens as alpha drops; resolve it
         assert normalization_check(0.5, 2, n_atoms=1024) < 1e-4
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_normalization_d3_defaults_to_4096_atoms(self, alpha):
+        # uniform_sphere(3)'s 1024 atoms read 1.8e-4 (alpha 1.5) and 1.1e-4
+        # (alpha 1.9) against the 1e-4 gate; an explicit count is honoured
+        default = normalization_check(alpha, 3)
+        assert default < 1e-4
+        assert default == normalization_check(alpha, 3, n_atoms=4096)
+        assert normalization_check(alpha, 3, n_atoms=1024) > 1e-4
+
     def test_cauchy_constant_d1(self):
         assert cauchy_c(1) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
