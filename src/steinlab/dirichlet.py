@@ -41,7 +41,7 @@ from .jumps import (
 from .levy import IDLaw
 from .numerics import TestFunction, _ray_points, _simpson_rule, gaussian_bump, grad_fd, surface_area
 from .sampling import MCEstimate, mc_expectation, sample_stable_law
-from .stein import _check_dim, _chunked_mean, _gaussian_profile, _isotropic_alpha, _point, _points, generator_apply, generator_tilt
+from .stein import _check_dim, _chunked_mean, _isotropic_alpha, _point, _points, generator_apply, generator_tilt
 
 __all__ = [
     "RatioReport",
@@ -265,21 +265,16 @@ def gamma2_symbol_value(f: TestFunction, alpha: float, d: int, x) -> float:
     H_beta transforms |xi|^beta G (``_gaussian_transforms``), K_beta does so
     for G * G = g0^2 (2 pi a)^{d/2} e^{-|w|^2/(8a)}, and in M, which pairs
     |xi|^alpha with |xi + zeta|^alpha, the xi integral at fixed xi + zeta is
-    a noncentral Gaussian moment (``_cross_integral`` is what is left).  A
-    profile that is not Gaussian at rho = 1/2, given g0 and a from G(0) and
-    G(1), raises ``DomainError``; a non-finite one ``EvaluationError``."""
+    a noncentral Gaussian moment (``_cross_integral`` is what is left).
+    a is the width in the bump's ``gauss`` = (amp, a) and g0 = G(0); a
+    function that is not a plain Gaussian bump raises ``DomainError``."""
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if f.radial_fourier is None or f.fourier_center is None:
-        raise DomainError("the symbol route needs a radially shifted bump")
+    if f.gauss is None:
+        raise DomainError("the symbol route needs a plain Gaussian bump")
     _check_dim(f, d)
     s_sq = float(np.sum((_point(x, d) - f.fourier_center) ** 2))
-    g0, a = _gaussian_profile(f)
-    probe = float(np.real(f.radial_fourier(np.array([0.5]))[0]))
-    if not math.isfinite(g0 + a + probe):
-        raise EvaluationError("the symbol route read a non-finite transform profile")
-    if not math.isclose(probe, g0 * math.exp(-0.0625 / a), rel_tol=1e-9, abs_tol=1e-300):
-        raise DomainError("the symbol route needs a Gaussian profile g0 e^{-rho^2/(4a)}")
+    a, g0 = f.gauss[1], float(f.radial_fourier(0.0))
     H0, Ha, H2a = _gaussian_transforms(g0, a, d, [0.0, alpha, 2.0 * alpha], s_sq)
     gg = g0 * g0 * (2.0 * math.pi * a) ** (0.5 * d)
     Ka, K2a = _gaussian_transforms(gg, 2.0 * a, d, [alpha, 2.0 * alpha], s_sq)

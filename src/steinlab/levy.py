@@ -585,12 +585,6 @@ def _log_quad_panels(lo, hi, du_cap, f, rel=1e-9) -> np.ndarray:
     return value
 
 
-def _log_quad_complex(lo, hi, du_cap, f, rel=1e-9) -> complex:
-    """Adaptive composite Simpson of f(r) dr on a log grid over (lo, hi):
-    the one-panel case of ``_log_quad_panels``."""
-    return complex(_log_quad_panels(lo, hi, du_cap, lambda r, i: f(r), rel)[0])
-
-
 def _osc_tail(A, rho, dens: RadialDensity, power: int) -> np.ndarray:
     """int_A^inf e^{i r rho} r^power dens(r) dr for arrays of radii A and
     nonzero frequencies rho.

@@ -434,10 +434,12 @@ class TestFunction:
     """Scalar field with gradient access and an optional closed-form
     Fourier transform (convention F(f)(xi) = int f(x) e^{-i<xi,x>} dx).
 
-    ``radial_fourier`` is the radial profile G(rho) when the transform
-    factorizes as F(f)(xi) = G(|xi|) e^{-i<xi, fourier_center>}; it powers
-    the fast semigroup evaluation path.  ``m_bounds`` holds
-    (sup|f|, sup|grad f|, sup|Hess f|_op) when known in closed form.
+    ``gauss`` = (amp, a) marks a plain bump amp e^{-a |x - c|^2}, c the
+    ``fourier_center``; its transform is G(|xi|) e^{-i<xi, c>} with the
+    radial profile G = ``radial_fourier``, which powers the semigroup and
+    the symbol route.  ``scaled(k)`` carries it as (k amp, a); ``product``
+    and coordinate bumps leave it None.  ``m_bounds`` holds (sup|f|,
+    sup|grad f|, sup|Hess f|_op) when known in closed form.
 
     ``ray`` and ``ray_slope`` are optional closed forms of ``along`` and
     ``along_slope``: the values and directional slopes on the rays
@@ -457,7 +459,7 @@ class TestFunction:
     fourier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: float = math.inf
     dim: Optional[int] = None
-    radial_fourier: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gauss: Optional[tuple] = None
     fourier_center: Optional[np.ndarray] = None
     m_bounds: Optional[tuple] = None
     reach: Optional[float] = None  # radius beyond which |f| is negligible
@@ -467,6 +469,11 @@ class TestFunction:
 
     def __call__(self, x):
         return self.evaluate(x)
+
+    def radial_fourier(self, rho) -> np.ndarray:
+        """G(rho) = amp (pi/a)^{d/2} e^{-rho^2/(4a)} of a plain bump."""
+        amp, a = self.gauss
+        return amp * ((math.pi / a) ** (self.dim / 2.0) * np.exp(-np.asarray(rho) ** 2 / (4.0 * a)))
 
     def along(self, Z, x, r) -> np.ndarray:
         """f(Z[i] + r[k] x) as an (m, K) array, for a unit direction x."""
@@ -487,8 +494,9 @@ class TestFunction:
         return grad_fd(self.evaluate, x, scale=scale)
 
     def scaled(self, amplitude: float) -> "TestFunction":
-        """Same shape rescaled by a constant amplitude."""
-        ev, gr, fo, rf = self.evaluate, self.gradient, self.fourier, self.radial_fourier
+        """Same shape rescaled by a constant amplitude; the bounds scale by
+        its absolute value."""
+        ev, gr, fo, gs = self.evaluate, self.gradient, self.fourier, self.gauss
         ry, rs, sp = self.ray, self.ray_slope, self.ray_split
 
         def split(Z, x, _s=None if sp is None else sp.split):
@@ -501,8 +509,8 @@ class TestFunction:
             evaluate=lambda x, _e=ev: amplitude * _e(x),
             gradient=None if gr is None else (lambda x, _g=gr: amplitude * _g(x)),
             fourier=None if fo is None else (lambda xi, _f=fo: amplitude * _f(xi)),
-            radial_fourier=None if rf is None else (lambda rho, _r=rf: amplitude * _r(rho)),
-            m_bounds=None if self.m_bounds is None else tuple(amplitude * b for b in self.m_bounds),
+            gauss=None if gs is None else (amplitude * gs[0], gs[1]),
+            m_bounds=None if self.m_bounds is None else tuple(abs(amplitude) * b for b in self.m_bounds),
             ray=None if ry is None else (lambda Z, x, r, _y=ry: amplitude * _y(Z, x, r)),
             ray_slope=None if rs is None else (lambda Z, x, r, _s=rs: amplitude * _s(Z, x, r)),
             ray_split=None if sp is None else sp._replace(split=split),
@@ -592,14 +600,17 @@ def gaussian_bump(
 
     Carries the analytic gradient and the closed Fourier transform
     F(exp(-a|x|^2))(xi) = (pi/a)^{d/2} exp(-|xi|^2 / 4a), shifted and
-    differentiated as needed.
+    differentiated as needed.  A width that is not positive and finite, or
+    a non-finite amplitude or centre, raises ``DomainError``.
     """
-    if a <= 0.0:
-        raise DomainError("Gaussian width parameter must be positive")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"Gaussian width parameter must be positive and finite, got {a}")
     c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (d,):
-        raise DomainError(f"center must have shape ({d},)")
+    if c.shape != (d,) or not np.all(np.isfinite(c)):
+        raise DomainError(f"center must be a finite point of shape ({d},)")
     amp = float(amplitude)
+    if not math.isfinite(amp):
+        raise DomainError(f"amplitude must be finite, got {amp}")
     pref = (math.pi / a) ** (d / 2.0)
 
     def evaluate(x):
@@ -690,12 +701,6 @@ def gaussian_bump(
         e *= s
         return e
 
-    radial_fourier = None
-    m_bounds = None
-    if coord is None:
-        radial_fourier = lambda rho: amp * pref * np.exp(-np.asarray(rho) ** 2 / (4.0 * a))
-        m_bounds = _plain_bump_bounds(a, amp)
-
     label = name or (
         f"bump(a={a:g}, c={np.array2string(c, precision=2)})"
         if coord is None
@@ -708,9 +713,9 @@ def gaussian_bump(
         fourier=fourier,
         support_radius=math.inf,
         dim=d,
-        radial_fourier=radial_fourier,
+        gauss=(amp, a) if coord is None else None,
         fourier_center=c,
-        m_bounds=m_bounds,
+        m_bounds=_plain_bump_bounds(a, amp) if coord is None else None,
         reach=float(np.linalg.norm(c)) + 7.0 / math.sqrt(a),
         ray=ray,
         ray_slope=ray_slope,

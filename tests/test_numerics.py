@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steinlab import DecayError, DomainError, EvaluationError
-from steinlab.levy import _log_quad_complex, isotropic_stable_law
+from steinlab.levy import _log_quad_panels, isotropic_stable_law
 from steinlab.numerics import (
     RadialGrid,
     _refine,
@@ -133,7 +133,7 @@ class TestSimpsonRule:
 class TestRefine:
     def test_log_quad_complex_matches_closed_form(self):
         lo, hi = 0.5, 8.0
-        val = _log_quad_complex(lo, hi, 1.0 / 48.0, lambda r: np.exp(1j * r))
+        val = complex(_log_quad_panels(lo, hi, 1.0 / 48.0, lambda r, i: np.exp(1j * r))[0])
         exact = (np.exp(1j * hi) - np.exp(1j * lo)) / 1j
         assert abs(val - exact) <= 1e-9 * abs(exact)
 
@@ -320,6 +320,41 @@ class TestBumpLibrary:
             fd = grad_fd(lambda y: float(tf.evaluate(y)), x)
             an = tf.gradient(x)
             assert np.allclose(fd, an, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bump_rejects_non_finite_input(self, d):
+        """A non-finite width, amplitude or centre raises at construction, so
+        no solver or symbol route sees a non-finite transform."""
+        far = np.zeros(d)
+        far[-1] = math.inf
+        bad = [
+            dict(a=math.nan),
+            dict(a=math.inf),
+            dict(amplitude=math.nan),
+            dict(amplitude=-math.inf),
+            dict(center=np.full(d, math.nan)),
+            dict(center=far),
+        ]
+        for kw in bad:
+            with pytest.raises(DomainError):
+                gaussian_bump(d, **kw)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gauss_carries_amplitude_and_width(self, d):
+        """Plain bumps carry (amp, a) and ``scaled`` scales amp; the profile
+        is amp ((pi/a)^{d/2} e^{-rho^2/(4a)}) bit for bit."""
+        f = gaussian_bump(d, a=0.7, center=np.full(d, 0.2))
+        assert f.gauss == (1.0, 0.7) and f.scaled(-2.5).gauss == (-2.5, 0.7)
+        assert gaussian_bump(d, coord=0).gauss is None and f.product(f).gauss is None
+        rho = np.linspace(0.0, 6.0, 25)
+        profile = (math.pi / 0.7) ** (d / 2.0) * np.exp(-(rho**2) / 2.8)
+        assert np.array_equal(f.radial_fourier(rho), profile)
+        assert np.array_equal(f.scaled(-2.5).radial_fourier(rho), -2.5 * profile)
+
+    def test_scaled_bounds_take_the_absolute_factor(self):
+        f = gaussian_bump(2, a=1.3)
+        assert f.scaled(-0.5).m_bounds == f.scaled(0.5).m_bounds
+        assert f.scaled(-100.0).m_bounds[0] == 100.0
 
     def test_normalized_bumps_respect_bounds(self):
         rng = np.random.default_rng(5)

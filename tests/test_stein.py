@@ -349,6 +349,11 @@ class TestSteinSolver:
         with pytest.raises(DomainError):
             stein_solve(law, gaussian_bump(1, a=4.0))
 
+    def test_negatively_scaled_h_rejected(self):
+        """sup|h| = 100 for the bump scaled by -100: its bounds scale by |k|."""
+        with pytest.raises(DomainError):
+            stein_solve(isotropic_stable_law(1.5, 1), gaussian_bump(1).scaled(-100.0))
+
     @pytest.mark.parametrize("alpha,d", [(1.5, 1), (0.5, 1), (1.5, 2), (0.5, 2)])
     def test_solution_solves_equation(self, alpha, d):
         law = isotropic_stable_law(alpha, d)
@@ -758,6 +763,13 @@ class TestRhoRule:
         simpson = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
         simpson[0] = simpson[-1] = 1.0
         assert np.array_equal(w, simpson * (step / 3.0))
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_width_is_capped_at_a_quarter_million(self, budget):
+        """An a = 1e7 bump gets the nodes of an a = 0.25e6 bump: the grid
+        (259 231 nodes at budget 1) stops growing there."""
+        wide, cap = (stein._rho_rule(gaussian_bump(1, a=a), budget) for a in (1e7, 0.25e6))
+        assert np.array_equal(wide[0], cap[0]) and np.array_equal(wide[1], cap[1])
 
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
