@@ -38,14 +38,20 @@ is sum_kl C_k C_l T_kl(p), with tables T that depend on the density and
 the bump's width alone.  ``_ray_tables`` builds them by running the
 engine itself on the profiles, at ``RAY_PER_OCTAVE`` nodes per octave,
 with the knots as samples; the engines read them when passed
-``tables=``.  The Monte Carlo estimators build them: the five
-``stein.residual_*`` build their tables once per call, through their one
-driver ``stein._jump_mean``, and so does ``dirichlet.poincare_residual``;
-every chunk reads them.  A sample with the bump more than the tables'
-reach ahead along some direction runs the engine at ``RAY_PER_OCTAVE``.
-Test functions without a ray split and every point evaluation (the
-generator, the carré du champs and Gamma_2 routes, the curvature check)
-run the engine as it is.
+``tables=``.  The knots span |t| <= ``RAY_T_MAX`` = 8 in t = sqrt(a) p.
+A (sample, direction) pair with the bump farther ahead than that takes a
+closed far value instead: with g(p) and g'(p) below e^-64 of the tables'
+scale, what remains is int G(p + r) r^power rho(r) dr over the profile
+term G (g_k, g_k' or g_k g_l).  A fixed Gauss-Hermite rule in p + r
+takes it, reading only rho, so it serves any radial density; on stable
+and tempered ones it meets adaptive quadrature to 1e-10.  A pair with the bump
+farther behind reads the tables' end.  The Monte Carlo estimators build
+the tables: the five ``stein.residual_*`` once per call, through their
+one driver ``stein._jump_mean``, and so does
+``dirichlet.poincare_residual``; every chunk reads them.  Test functions
+without a ray split and every point evaluation (the generator, the
+carré du champs and Gamma_2 routes, the curvature check) run the engine
+as it is.
 """
 
 from __future__ import annotations
@@ -211,9 +217,13 @@ def _increment(f, Z, x_dir, r, fz):
     return inc
 
 
+# (vanish, power) of each engine's increment, as _radial_rule takes them
+_ORDERS = {"raw": (1, 0), "ball": (2, 0), "vector": (1, 1), "grad_diff": (1, 1), "square": (2, 0)}
+
+
 def _jump_raw(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
-    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 0, n_small, per_octave)
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), *_ORDERS["raw"], n_small, per_octave)
     radial = _along_directions(
         sphere, c, Z.shape[0], lambda x, rows: _increment(f, Z[rows], x, r, fz[rows])
     )
@@ -223,7 +233,7 @@ def _jump_raw(f, Z, sphere, dens, n_small, per_octave):
 def _jump_ball(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
     gz = np.asarray(f.gradient(Z), dtype=float)
-    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 2, 0, n_small, per_octave)
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), *_ORDERS["ball"], n_small, per_octave)
     n_ball = np.count_nonzero(r <= 1.0)
 
     def increment(x, rows):
@@ -237,7 +247,7 @@ def _jump_ball(f, Z, sphere, dens, n_small, per_octave):
 
 def _jump_vector(f, Z, sphere, dens, n_small, per_octave):
     fz = np.asarray(f.evaluate(Z), dtype=float)
-    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 1, n_small, per_octave)
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), *_ORDERS["vector"], n_small, per_octave)
     radial = _along_directions(
         sphere, c, Z.shape[0], lambda x, rows: _increment(f, Z[rows], x, r, fz[rows])
     )
@@ -247,7 +257,7 @@ def _jump_vector(f, Z, sphere, dens, n_small, per_octave):
 
 def _jump_grad_diff(f, Z, sphere, dens, n_small, per_octave):
     gz = np.asarray(f.gradient(Z), dtype=float)
-    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), 1, 1, n_small, per_octave)
+    r, c, _, tail = _radial_rule(dens, _cutoff(Z, _reach(f), dens), *_ORDERS["grad_diff"], n_small, per_octave)
 
     def increment(x, rows):
         inc = _shifted_grad_dot(f, Z[rows], x, r)
@@ -263,7 +273,8 @@ def _jump_product(f, g, Z, sphere, dens, n_small, per_octave):
     of one increment when g is f."""
     fz = np.asarray(f.evaluate(Z), dtype=float)
     gz = fz if g is f else np.asarray(g.evaluate(Z), dtype=float)
-    r, c, _, tail = _radial_rule(dens, _cutoff(Z, max(_reach(f), _reach(g)), dens), 2, 0, n_small, per_octave)
+    R_want = _cutoff(Z, max(_reach(f), _reach(g)), dens)
+    r, c, _, tail = _radial_rule(dens, R_want, *_ORDERS["square"], n_small, per_octave)
 
     def increment(x, rows):
         inc = _increment(f, Z[rows], x, r, fz[rows])
@@ -299,7 +310,7 @@ def _bucketed(kind, f, Z, sphere, dens, n_small, per_octave, tables=None):
     if tables is not None:
         if tables.kind != kind:
             raise DomainError(f"ray tables built for the {tables.kind} engine, not the {kind} engine")
-        return _read_ray_tables(tables, f, Z, sphere, dens, n_small)
+        return _read_ray_tables(tables, Z, sphere, dens)
     for idx in _norm_buckets(Z):
         out[idx] = _ENGINES[kind](f, Z[idx], sphere, dens, n_small, per_octave)
     return out
@@ -341,13 +352,23 @@ def jump_square_chunk(f, Z, sphere, dens: RadialDensity, n_small=12, per_octave=
 
 # The tables cover t = sqrt(a) p in [-RAY_T_MAX, RAY_T_MAX] on knots
 # RAY_T_STEP apart, for the profiles' width a.  Past +RAY_T_MAX the bump
-# is behind the sample and every table is e^-1024 of its size; past
-# -RAY_T_MAX the bump is too far ahead, and the engine takes the sample.
-RAY_T_MAX = 32.0
-RAY_T_STEP = 1.0 / 32.0
+# is behind the sample and every table is e^-64 of its size, so a read
+# there takes the last knot.  Past -RAY_T_MAX the bump is ahead, clear of
+# the sample by more than RAY_T_MAX widths: every term of the increment
+# that carries g(p) or g'(p) is e^-64 of the tables' scale, and what
+# remains, int G(p + r) r^power rho(r) dr, is a smooth density integrated
+# against the profile term G, a Gaussian times a polynomial in t = p + r.
+# A RAY_FAR_NODES-point Gauss-Hermite rule in t, scaled to G's width,
+# takes it; its largest node, 6.02 of G's widths, keeps every r = t - p > 0.
+# On knots 1/48 apart the cubic reads reach 2.5e-7 of a table's largest
+# value (1.3e-6 at 1/32, on the coordinate bump's cross table).
+RAY_T_MAX = 8.0
+RAY_T_STEP = 1.0 / 48.0
 RAY_PER_OCTAVE = 64  # resolves a bump RAY_T_MAX / sqrt(a) ahead of the sample
+RAY_FAR_NODES = 24
 
 _PLUS = SphericalGrid(atoms=np.array([[1.0]]), weights=np.array([1.0]))
+_HERMITE = np.polynomial.hermite.hermgauss(RAY_FAR_NODES)
 
 
 class _RayTables(NamedTuple):
@@ -355,17 +376,26 @@ class _RayTables(NamedTuple):
     split: RaySplit
     knots: np.ndarray
     coef: np.ndarray  # (4, tables, knots - 1) cubic coefficients, highest power first
+    pairs: list  # the square's table (k, l) per table, k <= l; empty for the linear kinds
+    power: int  # of r in the far field's integrand
+    far_t: np.ndarray  # Gauss-Hermite nodes in t = p + r
+    far_w: np.ndarray  # (tables, nodes) weights, each table's profile term G(t) folded in
 
 
 def _ray_tables(kind, f, dens):
     """The 1-D tables of one engine for f's ray split (None when f has
-    none, or is constant).
+    none, or is constant), with the far-field rule for p below the knots.
 
     Each table is the engine itself, run at RAY_PER_OCTAVE on a profile g_k
     with the knots as samples along the one direction +1.  The square adds
     the cross tables of the product increment, ordered (0, 0), (0, 1), ...,
-    (n-1, n-1).  The knots depend on the profiles' width alone, so the
-    tables do not depend on the samples."""
+    (n-1, n-1).  Each table's far-field row holds its profile term G at
+    the Gauss-Hermite nodes: g_k for the linear kinds, g_k' for grad_diff
+    and g_k g_l for the square, whose product halves the width the nodes
+    are scaled to.  The Hermite weights carry e^(x^2), so G is evaluated
+    as it is rather than divided by its Gaussian.  The knots,
+    2 RAY_T_MAX / RAY_T_STEP + 1 of them, and the far rule depend on the
+    profiles' width alone, so the tables do not depend on the samples."""
     split = f.ray_split
     if split is None or _is_constant(f):
         return None
@@ -374,28 +404,42 @@ def _ray_tables(kind, f, dens):
     knots = h * np.arange(-half, half + 1)
     P = knots[:, None]
     g = split.profiles()
+    x, w = _HERMITE
+    s = math.sqrt((2.0 if kind == "square" else 1.0) * split.a)
+    T = (x / s)[:, None]
     # the public engine, looked up by name when called: perfbench/spans.py rebinds it
     chunk = globals()[f"jump_{kind}_chunk"]
+    cols, far, pairs = [], [], []
     if kind == "square":
-        cols = [
-            chunk(g[k], P, _PLUS, dens, per_octave=RAY_PER_OCTAVE)
-            if k == l
-            else _jump_product(g[k], g[l], P, _PLUS, dens, 12, RAY_PER_OCTAVE)
-            for k in range(split.n)
-            for l in range(k, split.n)
-        ]
+        for k in range(split.n):
+            for l in range(k, split.n):
+                if k == l:
+                    cols.append(chunk(g[k], P, _PLUS, dens, per_octave=RAY_PER_OCTAVE))
+                else:
+                    cols.append(_jump_product(g[k], g[l], P, _PLUS, dens, 12, RAY_PER_OCTAVE))
+                far.append(g[k].evaluate(T) * g[l].evaluate(T))
+                pairs.append((k, l))
     else:
-        cols = [chunk(gk, P, _PLUS, dens, per_octave=RAY_PER_OCTAVE).reshape(-1) for gk in g]
+        for gk in g:
+            cols.append(chunk(gk, P, _PLUS, dens, per_octave=RAY_PER_OCTAVE).reshape(-1))
+            far.append(gk.gradient(T)[:, 0] if kind == "grad_diff" else gk.evaluate(T))
     # imported here, after the package: loading scipy.interpolate ahead of
     # it raised a process's resident memory by 2 MB (stein loads it anyway)
     from scipy.interpolate import CubicSpline
 
     coef = CubicSpline(knots, np.stack(cols, axis=1), axis=0).c
-    return _RayTables(kind, split, knots, np.ascontiguousarray(coef.transpose(0, 2, 1)))
+    far_w = np.stack(far) * (w * np.exp(x * x) / s)
+    return _RayTables(
+        kind, split, knots, np.ascontiguousarray(coef.transpose(0, 2, 1)), pairs, _ORDERS[kind][1], x / s, far_w
+    )
 
 
 def _table_values(tables, p):
-    """(tables, p.size) values of every table at the points p."""
+    """(tables, p.size) values of every table at the points p, which must
+    lie on the knots' span: the end cubics are not extrapolated."""
+    # min and max carry a NaN through, and every comparison with it fails
+    if p.size and not (tables.knots[0] <= p.min() and p.max() <= tables.knots[-1]):
+        raise DomainError("ray table read outside its knots")
     j, dx = _uniform_interval(tables.knots, p)
     out = np.empty((tables.coef.shape[1], p.size))
     for c, v in zip(tables.coef.transpose(1, 0, 2), out):
@@ -406,29 +450,40 @@ def _table_values(tables, p):
     return out
 
 
-def _read_ray_tables(tables, f, Z, sphere, dens, n_small):
+def _far_values(tables, dens, p):
+    """(tables, p.size) far-field values int G_k(p + r) r^power rho(r) dr
+    at points p below the knots, by the tables' Gauss-Hermite rule."""
+    r = np.subtract.outer(tables.far_t, p)
+    phi = dens.rho(r)
+    if tables.power:
+        phi *= r
+    return tables.far_w @ phi
+
+
+def _read_ray_tables(tables, Z, sphere, dens):
     """The jump integral of tables.kind per sample, read off the tables:
     per direction sum_k C_k T_k(p), or sum_kl C_k C_l T_kl(p) for the
     square, in row blocks of at most BLOCK (sample, direction) pairs.
-    Samples with the bump beyond the tables ahead along some direction
-    run the engine at RAY_PER_OCTAVE."""
-    split, P = tables.split, tables.knots[-1]
+    A pair with p below the knots (the bump more than RAY_T_MAX widths
+    ahead) takes the far-field rule's value instead, and one above them
+    (the bump as far behind) the last knot's."""
+    split, lo_p, hi_p = tables.split, tables.knots[0], tables.knots[-1]
     vector = tables.kind == "vector"
     weights = sphere.weights[:, None] * sphere.atoms if vector else sphere.weights
-    pairs = [(k, l) for k in range(split.n) for l in range(k, split.n)]
     out = np.empty(Z.shape if vector else Z.shape[0])
-    far = np.empty(Z.shape[0], dtype=bool)
     step = max(1, BLOCK // sphere.atoms.shape[0])
     for lo in range(0, Z.shape[0], step):
         rows = slice(lo, lo + step)
         C, p = split.split(Z[rows], sphere.atoms)
-        T = _table_values(tables, np.minimum(p, P).reshape(-1)).reshape((-1,) + p.shape)
+        flat = p.reshape(-1)
+        T = _table_values(tables, np.clip(flat, lo_p, hi_p))
+        far = flat < lo_p
+        if far.any():
+            T[:, far] = _far_values(tables, dens, flat[far])
+        T = T.reshape((-1,) + p.shape)
         if tables.kind == "square":
-            val = sum((1.0 if k == l else 2.0) * C[:, :, k] * C[:, :, l] * T[i] for i, (k, l) in enumerate(pairs))
+            val = sum((1.0 if k == l else 2.0) * C[:, :, k] * C[:, :, l] * Ti for (k, l), Ti in zip(tables.pairs, T))
         else:
             val = sum(C[:, :, k] * T[k] for k in range(split.n))
         out[rows] = val @ weights
-        far[rows] = np.any(p < -P, axis=1)
-    if far.any():
-        out[far] = _bucketed(tables.kind, f, Z[far], sphere, dens, n_small, RAY_PER_OCTAVE)
     return out

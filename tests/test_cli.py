@@ -178,6 +178,9 @@ class TestCommands:
 
 class TestReproducibility:
     def test_identical_payloads_across_thread_counts(self, tmp_path, capsys, monkeypatch):
+        """Two runs of one residual command give the same payload.  The runs
+        set STEINLAB_THREADS to 1 and 4, but no code reads that variable, so
+        this checks rerun determinism only, not thread-count independence."""
         outs = []
         for threads in ("1", "4"):
             monkeypatch.setenv("STEINLAB_THREADS", threads)
